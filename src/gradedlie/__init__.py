@@ -6,7 +6,6 @@ from .algebra import (
     Element,
     GradedAlgebra,
     InvalidAlgebraError,
-    RootSpace,
     ValidationReport,
     Violation,
     add_degrees,
@@ -14,8 +13,6 @@ from .algebra import (
     sub_degrees,
 )
 from .builders import (
-    GCM,
-    GCMError,
     ParseError,
     WindowSpec,
     build_borel,
@@ -25,7 +22,6 @@ from .builders import (
     build_witt,
     load,
     save,
-    validate_gcm,
 )
 from .derivations import (
     ComparisonReport,
@@ -53,7 +49,6 @@ from .linalg import (
     parse_rational,
     project_basis,
     row_space_equal,
-    rref,
     solve,
     vector_in_span,
 )

@@ -4,7 +4,7 @@ A ``GradedAlgebra`` holds a finite basis with integer-vector degrees, sparse
 antisymmetric structure constants stored only for index pairs i < j, and a
 designated Cartan index set.  Brackets whose true result lies outside the
 stored degree set are simply absent; soundness of every computation on a
-truncation is the caller's responsibility via :meth:`GradedAlgebra.is_safe_tuple`.
+truncation is the caller's responsibility via :meth:`GradedAlgebra.is_safe_sum`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Rational, SparseMatrix, SparseVector
+from .linalg import Rational
 
 Degree = tuple[int, ...]
 
@@ -70,15 +70,6 @@ class ValidationReport:
     @property
     def empty(self) -> bool:
         return not self.violations and not self.warnings
-
-
-@dataclass(frozen=True)
-class RootSpace:
-    """One degree of the algebra: its non-Cartan members and pairing flag."""
-
-    degree: Degree
-    members: tuple[int, ...]
-    paired: bool
 
 
 class GradedAlgebra:
@@ -261,76 +252,24 @@ class GradedAlgebra:
             acc = self.bracket(x, acc)
         return acc
 
-    # -- root utilities ----------------------------------------------------
-
-    def root_functional(self, h: int, x: int) -> Rational:
-        """The scalar a with [e_h, e_x] = a·e_x, for a Cartan index h."""
-        if h not in self.cartan:
-            raise ValueError(f"index {h} is not a cartan index")
-        terms = self.pair_bracket(h, x)
-        if not terms:
-            return Fraction(0)
-        if len(terms) == 1 and terms[0][0] == x:
-            return terms[0][1]
-        raise InvalidAlgebraError(
-            f"[{self.label(h)}, {self.label(x)}] is not proportional to {self.label(x)}"
-        )
-
-    def roots_present(self) -> list[RootSpace]:
-        """Degrees present at truncation scale, with non-Cartan members per degree."""
-        out = []
-        for d in sorted(self._degree_set):
-            members = tuple(
-                i for i in self._by_degree[d] if i not in self.cartan
-            )
-            out.append(RootSpace(d, members, negate_degree(d) in self._degree_set))
-        return out
-
     # -- truncation safety ---------------------------------------------------
 
-    def is_safe_tuple(self, degs: Sequence[Degree], gamma: Degree) -> bool:
-        """Whether every bracket met while checking a constraint on this
-        tuple, with or without a gamma-shift insertion, is exactly evaluable.
+    def is_safe_sum(self, s: Degree, gamma: Degree) -> bool:
+        """Whether a right-partial degree sum s of a constraint tuple keeps
+        every bracket met at that step, with or without a gamma-shift
+        insertion, exactly evaluable.
 
-        On a truncation this requires every right-partial degree sum, plain
-        and shifted, to be present.  On a complete algebra absent degrees are
-        zero components, so every tuple is safe.
+        On a truncation this requires both s and s + gamma to be present; a
+        tuple is safe when every one of its right-partial sums is.  On a
+        complete algebra absent degrees are zero components, so every sum is
+        safe.
         """
-        if len(degs) < 2:
-            raise ValueError("tuples must have length >= 2")
-        if len(gamma) != self.grading_dim:
-            raise ValueError("gamma length must equal grading_dim")
+        if len(s) != self.grading_dim or len(gamma) != self.grading_dim:
+            raise ValueError("degree length must equal grading_dim")
         if not self.truncated:
             return True
         present = self._degree_set
-        s = self.zero_degree()
-        for d in reversed(degs):
-            s = add_degrees(s, d)
-            if s not in present or add_degrees(s, gamma) not in present:
-                return False
-        return True
-
-    # -- linear maps ---------------------------------------------------------
-
-    def ad_matrix(self, x: Element) -> SparseMatrix:
-        """Matrix of y -> [x, y] in the basis (rows = output coordinates)."""
-        self._check_element(x)
-        n = len(self.basis)
-        rows: list[dict[int, Rational]] = [{} for _ in range(n)]
-        table = self._table
-        for i, c in x.items():
-            for j in range(n):
-                terms = table.get((i, j))
-                if not terms:
-                    continue
-                for k, s in terms:
-                    row = rows[k]
-                    nv = row.get(j, Fraction(0)) + c * s
-                    if nv:
-                        row[j] = nv
-                    else:
-                        row.pop(j, None)
-        return SparseMatrix.from_rows(n, rows)
+        return s in present and add_degrees(s, gamma) in present
 
     # -- validation ------------------------------------------------------------
 

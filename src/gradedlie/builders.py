@@ -40,48 +40,6 @@ class WindowSpec:
             raise ValueError("max_abs must be >= 1")
 
 
-@dataclass(frozen=True)
-class GCM:
-    """Validated generalized Cartan matrix."""
-
-    n: int
-    entries: tuple[tuple[int, ...], ...]
-
-
-class GCMError(ValueError):
-    def __init__(self, violations: list[tuple[str, int, int, str]]):
-        self.violations = violations
-        super().__init__("; ".join(v[3] for v in violations))
-
-
-def validate_gcm(entries: Sequence[Sequence[int]]) -> GCM:
-    """Check the three generalized-Cartan-matrix conditions, reporting all failures."""
-    n = len(entries)
-    rows = []
-    for row in entries:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-        rows.append(tuple(int(v) for v in row))
-    violations: list[tuple[str, int, int, str]] = []
-    for i in range(n):
-        if rows[i][i] != 2:
-            violations.append(("C1", i, i, f"diagonal entry a[{i}][{i}] != 2"))
-        for j in range(n):
-            if i == j:
-                continue
-            if rows[i][j] > 0:
-                violations.append(
-                    ("C2", i, j, f"off-diagonal entry a[{i}][{j}] is positive")
-                )
-            if rows[i][j] == 0 and rows[j][i] != 0:
-                violations.append(
-                    ("C3", i, j, f"a[{i}][{j}] = 0 but a[{j}][{i}] != 0")
-                )
-    if violations:
-        raise GCMError(violations)
-    return GCM(n, tuple(rows))
-
-
 class _Builder:
     """Accumulates basis elements and bracket terms in canonical storage form."""
 

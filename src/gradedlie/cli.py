@@ -28,6 +28,7 @@ from .derivations import (
     ComparisonReport,
     PWitness,
     SearchBudget,
+    _outer_radius,
     build_constraints,
     check_property_p,
     compare_orders,
@@ -271,7 +272,7 @@ def _cmd_compare(args) -> int:
     if len(orders) != 2 or min(orders) < 2:
         raise UsageError("--orders must be two integers >= 2")
     gammas = _gamma_values(args, alg)
-    outer = max(abs(c) for d in alg.degree_set for c in d)
+    outer = _outer_radius(alg)
     if args.buffer is None:
         inner = WindowSpec(max(outer // 2, 1))
     else:
@@ -321,7 +322,10 @@ def _cmd_propp(args) -> int:
     alg = _load_algebra(args.file)
     budget = SearchBudget(samples=args.samples, seed=args.seed)
     if args.element is not None:
-        indices = [alg.index_of(args.element)]
+        try:
+            indices = [alg.index_of(args.element)]
+        except KeyError as exc:
+            raise UsageError(exc.args[0]) from None
     elif args.all_basis:
         zero = alg.zero_degree()
         indices = [
@@ -362,20 +366,33 @@ def _parse_map_file(alg: GradedAlgebra, path: str) -> dict[int, Element]:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UsageError(f"map file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or set(doc) != {"images"}:
-        raise UsageError("map file must be an object with a single 'images' field")
+    if (
+        not isinstance(doc, dict)
+        or set(doc) != {"images"}
+        or not isinstance(doc["images"], list)
+    ):
+        raise UsageError("map file must be an object with a single 'images' list")
     images: dict[int, Element] = {}
     for entry in doc["images"]:
-        if not isinstance(entry, dict) or set(entry) != {"source", "value"}:
-            raise UsageError("each image needs exactly 'source' and 'value'")
+        if (
+            not isinstance(entry, dict)
+            or set(entry) != {"source", "value"}
+            or not isinstance(entry["source"], str)
+            or not isinstance(entry["value"], list)
+        ):
+            raise UsageError("each image needs a string 'source' and a list 'value'")
         try:
             b = alg.index_of(entry["source"])
         except KeyError as exc:
             raise UsageError(str(exc)) from exc
         value: Element = {}
         for term in entry["value"]:
-            if not isinstance(term, dict) or set(term) != {"label", "c"}:
-                raise UsageError("each value term needs exactly 'label' and 'c'")
+            if (
+                not isinstance(term, dict)
+                or set(term) != {"label", "c"}
+                or not all(isinstance(v, str) for v in term.values())
+            ):
+                raise UsageError("each value term needs exactly string 'label' and 'c'")
             try:
                 k = alg.index_of(term["label"])
                 c = parse_rational(term["c"])

@@ -122,25 +122,18 @@ def build_constraints(
     index = UnknownIndex(alg, gamma)
     gamma = index.gamma
     colmap = index._col
-    present = alg.degree_set
-    by_deg = {d: alg.basis_at(d) for d in sorted(present)}
+    by_deg = {d: alg.basis_at(d) for d in sorted(alg.degree_set)}
     apply_basis = alg._apply_basis
-    truncated = alg.truncated
+    is_safe_sum = alg.is_safe_sum
 
     def extensions(s: Degree) -> list[tuple[tuple[int, ...], Degree]]:
-        """Degree choices for the next (leftward) tuple slot from suffix sum s.
-
-        On a truncation, both the new partial sum and its shift must stay in
-        the window; on a complete algebra every choice is exactly evaluable.
-        """
+        """Degree choices for the next (leftward) tuple slot from suffix sum
+        s: those whose new partial sum is safe."""
         out = []
         for d, members in by_deg.items():
             s2 = add_degrees(s, d)
-            if truncated and (
-                s2 not in present or add_degrees(s2, gamma) not in present
-            ):
-                continue
-            out.append((members, s2))
+            if is_safe_sum(s2, gamma):
+                out.append((members, s2))
         return out
 
     ext_cache: dict[Degree, list] = {}
@@ -238,16 +231,7 @@ def solve_nder(alg: GradedAlgebra, order: int, gamma: Degree) -> SubspaceBasis:
 def is_nder(alg: GradedAlgebra, phi: HomogeneousMap, order: int) -> bool:
     """Whether phi satisfies every safe tuple constraint of the given order."""
     matrix, index = build_constraints(alg, order, phi.gamma)
-    vec = index.encode(phi)
-    for row in matrix.rows:
-        s = Fraction(0)
-        for col, c in row.entries:
-            x = vec.get(col)
-            if x:
-                s += c * x
-        if s:
-            return False
-    return True
+    return not any(matrix.apply(index.encode(phi)))
 
 
 @dataclass(frozen=True)

@@ -137,38 +137,21 @@ class SubspaceBasis:
         return len(self.vectors)
 
 
-def _canonical_key(items: Sequence[tuple[int, Rational]]) -> tuple:
-    """Hashable form of a row normalized by its leading coefficient."""
-    lead = items[0][1]
-    return tuple((i, (c / lead).numerator, (c / lead).denominator) for i, c in items)
-
-
-def _dedup_rows(rows: Iterable[Mapping[int, Rational]]) -> list[dict[int, Rational]]:
-    """Drop all-zero rows and duplicates (up to scaling), keeping first occurrences."""
-    seen = set()
-    out = []
-    for row in rows:
-        items = sorted((i, c) for i, c in row.items() if c != 0)
-        if not items:
-            continue
-        key = _canonical_key(items)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(dict(items))
-    return out
-
 def _rref_dicts(
-    rows: Iterable[dict[int, Rational]], num_cols: int, aug: bool = False
+    rows: Iterable[Mapping[int, Rational] | Iterable[tuple[int, Rational]]],
+    num_cols: int,
+    aug: bool = False,
 ) -> tuple[list[dict[int, Rational]], list[int], list[dict[int, Rational]]]:
-    """Reduce dict rows to the unique RREF of their span.
+    """Reduce rows (dicts or (column, value) pairs, no zero values) to the
+    unique RREF of their span.
 
     Rows are folded in one at a time against the reduced basis built so far,
-    so dependent rows vanish cheaply instead of being dragged through a full
-    Gauss-Jordan sweep.  Entries at columns >= num_cols (an augmented
-    right-hand side) ride along but never become pivots; rows whose residue
-    lives only there are returned as the third component.  With ``aug``
-    unset the reduction stops early once every column is a pivot.
+    so dependent and repeated rows vanish cheaply instead of being dragged
+    through a full Gauss-Jordan sweep; no separate dedup pass is needed.
+    Entries at columns >= num_cols (an augmented right-hand side) ride along
+    but never become pivots; rows whose residue lives only there are returned
+    as the third component.  With ``aug`` unset the reduction stops early
+    once every column is a pivot.
     """
     pivot_rows: dict[int, dict[int, Rational]] = {}
     residues: list[dict[int, Rational]] = []
@@ -217,17 +200,9 @@ def _rref_dicts(
     return [pivot_rows[p] for p in pivots], pivots, residues
 
 
-def rref(m: SparseMatrix) -> tuple[int, SparseMatrix]:
-    """Unique reduced row-echelon form and rank of ``m``."""
-    rows = _dedup_rows(r.to_dict() for r in m.rows)
-    reduced, pivots, _ = _rref_dicts(rows, m.num_cols)
-    return len(pivots), SparseMatrix.from_rows(m.num_cols, reduced)
-
-
 def nullspace(m: SparseMatrix) -> SubspaceBasis:
     """Canonical nullspace basis: free variables set to 1 in increasing column order."""
-    rows = _dedup_rows(r.to_dict() for r in m.rows)
-    reduced, pivots, _ = _rref_dicts(rows, m.num_cols)
+    reduced, pivots, _ = _rref_dicts((r.entries for r in m.rows), m.num_cols)
     pivot_set = set(pivots)
     vectors = []
     for free in range(m.num_cols):
@@ -258,7 +233,7 @@ def solve(m: SparseMatrix, b: SparseVector) -> Optional[SparseVector]:
         if r:
             d[aug] = r
         rows.append(d)
-    reduced, pivots, residues = _rref_dicts(_dedup_rows(rows), m.num_cols, aug=True)
+    reduced, pivots, residues = _rref_dicts(rows, m.num_cols, aug=True)
     if residues:
         return None  # a nonzero right-hand side survived a zero left side
     x: dict[int, Rational] = {}
@@ -270,8 +245,7 @@ def solve(m: SparseMatrix, b: SparseVector) -> Optional[SparseVector]:
 
 
 def _rank_of_rows(rows: Iterable[SparseVector], num_cols: int) -> int:
-    deduped = _dedup_rows(r.to_dict() for r in rows)
-    _, pivots, _ = _rref_dicts(deduped, num_cols)
+    _, pivots, _ = _rref_dicts((r.entries for r in rows), num_cols)
     return len(pivots)
 
 
@@ -308,7 +282,7 @@ def project_basis(a: SubspaceBasis, coords: Sequence[int]) -> SubspaceBasis:
     for v in a.vectors:
         row = {position[i]: c for i, c in v.entries if i in position}
         projected.append(row)
-    reduced, _, _ = _rref_dicts(_dedup_rows(projected), len(coords))
+    reduced, _, _ = _rref_dicts(projected, len(coords))
     return SubspaceBasis(
         len(coords), tuple(SparseVector.from_dict(r) for r in reduced)
     )

@@ -6,7 +6,6 @@ import pytest
 from gradedlie import builders
 from gradedlie.algebra import GradedAlgebra, InvalidAlgebraError
 from gradedlie.builders import (
-    GCMError,
     ParseError,
     WindowSpec,
     build_borel,
@@ -16,7 +15,6 @@ from gradedlie.builders import (
     build_witt,
     load,
     save,
-    validate_gcm,
 )
 
 
@@ -26,31 +24,6 @@ def unit(i):
 
 def by_label(alg, lbl):
     return unit(alg.index_of(lbl))
-
-
-class TestGCM:
-    def test_rank_two_cartan_matrix(self):
-        gcm = validate_gcm([[2, -1], [-1, 2]])
-        assert gcm.n == 2 and gcm.entries == ((2, -1), (-1, 2))
-
-    def test_broken_symmetry(self):
-        with pytest.raises(GCMError) as err:
-            validate_gcm([[2, -1], [0, 2]])
-        assert {v[0] for v in err.value.violations} == {"C3"}
-
-    def test_bad_diagonal(self):
-        with pytest.raises(GCMError) as err:
-            validate_gcm([[1]])
-        assert {v[0] for v in err.value.violations} == {"C1"}
-
-    def test_positive_off_diagonal(self):
-        with pytest.raises(GCMError) as err:
-            validate_gcm([[2, 1], [1, 2]])
-        assert {v[0] for v in err.value.violations} == {"C2"}
-
-    def test_non_square(self):
-        with pytest.raises(ValueError):
-            validate_gcm([[2, 0]])
 
 
 class TestBuildSv:
@@ -107,9 +80,9 @@ class TestBuildSv:
 
     def test_whole_components(self, sv4):
         # every present degree carries its full family of labels
-        for space in sv4.roots_present():
-            d = space.degree[0]
-            labels = {sv4.label(i) for i in sv4.basis_at(space.degree)}
+        for degree in sorted(sv4.degree_set):
+            d = degree[0]
+            labels = {sv4.label(i) for i in sv4.basis_at(degree)}
             if d % 2 == 0:
                 want = {f"L_{d // 2}", f"M_{d // 2}"}
                 if d == 0:
@@ -169,7 +142,7 @@ class TestBuildSl:
 
     def test_chevalley_serre_families(self, sl3):
         n = 3
-        gcm = validate_gcm([[2, -1], [-1, 2]]).entries
+        gcm = ((2, -1), (-1, 2))  # Cartan matrix of type A_2
         e = [by_label(sl3, f"E({i},{i + 1})") for i in range(1, n)]
         f = [by_label(sl3, f"E({i + 1},{i})") for i in range(1, n)]
         h = [by_label(sl3, f"H_{i}") for i in range(1, n)]

@@ -225,6 +225,12 @@ class TestPropp:
         code, _, err = run(capsys, "propp", sv2_file)
         assert code == 2
 
+    def test_unknown_element(self, capsys, sv2_file):
+        code, out, err = run(capsys, "propp", sv2_file, "--element", "nope")
+        assert code == 2 and not out
+        assert err.startswith("error: ") and "nope" in err
+        assert err.count("\n") == 1
+
 
 class TestDecompose:
     def test_map_file(self, capsys, tmp_path, k_file):
@@ -257,6 +263,25 @@ class TestDecompose:
         )
         code, _, err = run(capsys, "decompose", k_file, "--map", str(mapfile))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"images": 5},
+            {"images": [{"source": "L_0", "value": 5}]},
+            {"images": [{"source": "L_0", "value": [{"label": "M_1", "c": 1}]}]},
+            {"images": [{"source": ["L_0"], "value": []}]},
+            {"images": [{"source": "L_0", "value": [{"label": ["M_1"], "c": "1"}]}]},
+        ],
+        ids=["images-not-list", "value-not-list", "c-not-string",
+             "source-not-string", "label-not-string"],
+    )
+    def test_malformed_map(self, capsys, tmp_path, k_file, doc):
+        mapfile = tmp_path / "map.json"
+        mapfile.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "decompose", k_file, "--map", str(mapfile))
+        assert code == 2 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestDeterminism:

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle import dense_rank
 from gradedlie.linalg import (
+    _rref_dicts,
     SparseMatrix,
     SparseVector,
     SubspaceBasis,
@@ -13,7 +15,6 @@ from gradedlie.linalg import (
     parse_rational,
     project_basis,
     row_space_equal,
-    rref,
     solve,
     vector_in_span,
 )
@@ -70,9 +71,16 @@ class TestSparseTypes:
             SparseMatrix(2, (vec([0, 0, 1]),))
 
 
+def rref(m: SparseMatrix):
+    """Rank and reduced rows of ``m`` from the solver's elimination."""
+    reduced, pivots, _ = _rref_dicts((r.entries for r in m.rows), m.num_cols)
+    return len(pivots), SparseMatrix.from_rows(m.num_cols, reduced)
+
+
 class TestRref:
     def test_dependent_rows(self):
-        rank, red = rref(mat([[1, 2], [2, 4]], 2))
+        # repeated and rescaled rows fold to zero without a dedup pass
+        rank, red = rref(mat([[1, 2], [2, 4], [1, 2], [-1, -2]], 2))
         assert rank == 1
         assert as_lists(red) == [[1, 2]]
 
@@ -165,19 +173,19 @@ def random_matrix(rng: random.Random, max_rows=6, max_cols=7) -> SparseMatrix:
 
 
 def check_linalg_properties(m: SparseMatrix) -> None:
-    rank, red = rref(m)
     basis = nullspace(m)
-    # rank-nullity
-    assert rank + basis.dim == m.num_cols
+    # rank-nullity against the independent dense elimination
+    dense = [[row.get(c) for c in range(m.num_cols)] for row in m.rows]
+    assert m.num_cols - basis.dim == dense_rank(dense)
     # exact residuals
     for v in basis.vectors:
         assert all(r == 0 for r in m.apply(v.to_dict()))
-    # idempotence
-    rank2, red2 = rref(red)
-    assert rank2 == rank and red2 == red
-    # pivot normalization
-    for row in red.rows:
-        assert row.entries[0][1] == 1
+    # repeated, rescaled and reordered rows leave the canonical basis unchanged
+    rng = random.Random(m.num_cols)
+    rows = [r.to_dict() for r in m.rows]
+    rows += [{i: -2 * c for i, c in r.items()} for r in rows]
+    rng.shuffle(rows)
+    assert nullspace(SparseMatrix.from_rows(m.num_cols, rows)) == basis
 
 
 @settings(max_examples=120, deadline=None)
