@@ -5,10 +5,16 @@ antisymmetric structure constants stored only for index pairs i < j, and a
 designated Cartan index set.  Brackets whose true result lies outside the
 stored degree set are simply absent; soundness of every computation on a
 truncation is the caller's responsibility via :meth:`GradedAlgebra.is_safe_sum`.
+
+``brackets`` and the ``bracket`` evaluators are exact ``Fraction`` values; the
+constraint walk and the Jacobi check read a private integer table of every
+constant times their least common denominator ``scale``, since a uniformly
+scaled bracket has the same Jacobi zeros and N-derivation spaces.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -133,10 +139,13 @@ class GradedAlgebra:
         self._by_degree = {d: tuple(v) for d, v in by_degree.items()}
         self._degree_set = frozenset(self._by_degree)
         self._label_index = {b.label: b.index for b in self.basis}
-        table: dict[tuple[int, int], tuple[tuple[int, Rational], ...]] = {}
+        # The walk's table: scale times every constant, both key orders.
+        scale = math.lcm(*(c.denominator for ts in clean.values() for _, c in ts))
+        table: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         for (i, j), terms in clean.items():
-            table[(i, j)] = terms
-            table[(j, i)] = tuple((k, -c) for k, c in terms)
+            scaled = tuple((k, c.numerator * scale // c.denominator) for k, c in terms)
+            table[(i, j)] = scaled
+            table[(j, i)] = tuple((k, -c) for k, c in scaled)
         self._table = table
 
     # -- plain accessors -------------------------------------------------
@@ -189,12 +198,15 @@ class GradedAlgebra:
 
     def pair_bracket(self, i: int, j: int) -> tuple[tuple[int, Rational], ...]:
         """[e_i, e_j] as stored terms, with antisymmetry synthesized."""
-        return self._table.get((i, j), ())
+        if i > j:
+            return tuple((k, -c) for k, c in self.brackets.get((j, i), ()))
+        return self.brackets.get((i, j), ())
 
-    def _apply_basis(self, i: int, x: Element) -> Element:
-        """[e_i, x] without input validation (hot path)."""
+    def _apply_basis(self, i: int, x: dict[int, int]) -> dict[int, int]:
+        """scale·[e_i, x] for an integer-valued x, without input validation
+        (hot path)."""
         table = self._table
-        out: Element = {}
+        out: dict[int, int] = {}
         for j, c in x.items():
             terms = table.get((i, j))
             if terms:
@@ -222,11 +234,10 @@ class GradedAlgebra:
         """Bilinear extension of the structure constants."""
         self._check_element(x)
         self._check_element(y)
-        table = self._table
         out: Element = {}
         for i, cx in x.items():
             for j, cy in y.items():
-                terms = table.get((i, j))
+                terms = self.pair_bracket(i, j)
                 if not terms:
                     continue
                 c = cx * cy
@@ -339,11 +350,12 @@ class GradedAlgebra:
                     continue
                 if add_degrees(add_degrees(di, dj), dk) not in present:
                     continue
-            total: Element = {}
+            # Integer table: every term carries the same factor scale**2.
+            total: dict[int, int] = {}
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                inner = dict(self.pair_bracket(b, c))
+                inner = dict(self._table.get((b, c), ()))
                 for t, v in self._apply_basis(a, inner).items():
-                    nv = total.get(t, Fraction(0)) + v
+                    nv = total.get(t, 0) + v
                     if nv:
                         total[t] = nv
                     else:

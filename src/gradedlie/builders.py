@@ -157,9 +157,13 @@ def build_witt(d: int, window: WindowSpec) -> GradedAlgebra:
     return b.build(f"witt_d{d}_M{m}", cartan, truncated=True)
 
 
-def _sl_matrices(n: int) -> tuple[list[tuple[str, Degree, dict[tuple[int, int], int]]], int]:
+# A basis matrix of sl_n: label, degree and its sparse (row, col) entries.
+_Mat = tuple[str, Degree, dict[tuple[int, int], int]]
+
+
+def _sl_matrices(n: int) -> list[_Mat]:
     """Matrix-unit basis of sl_n: off-diagonal units then simple coroots."""
-    out: list[tuple[str, Degree, dict[tuple[int, int], int]]] = []
+    out: list[_Mat] = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i == j:
@@ -169,12 +173,11 @@ def _sl_matrices(n: int) -> tuple[list[tuple[str, Degree, dict[tuple[int, int], 
             for k in range(lo, hi):
                 deg[k - 1] = sign
             out.append((f"E({i},{j})", tuple(deg), {(i, j): 1}))
-    n_offdiag = len(out)
     for k in range(1, n):
         out.append(
             (f"H_{k}", (0,) * (n - 1), {(k, k): 1, (k + 1, k + 1): -1})
         )
-    return out, n_offdiag
+    return out
 
 
 def _commutator(
@@ -211,15 +214,10 @@ def _decompose_gl(
     return out
 
 
-def build_sl(n: int) -> GradedAlgebra:
-    """The trace-zero matrix algebra, graded over simple-root coordinates."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    mats, _ = _sl_matrices(n)
+def _matrix_algebra(name: str, n: int, mats: list[_Mat]) -> GradedAlgebra:
+    """The span of the given sl_n basis matrices, bracketed by commutator."""
     b = _Builder(n - 1)
-    label_index: dict[str, int] = {}
-    for label, deg, _mat in mats:
-        label_index[label] = b.add(label, deg)
+    label_index = {label: b.add(label, deg) for label, deg, _mat in mats}
     for (la, _da, ma), (lb, _db, mb) in itertools.combinations(mats, 2):
         comm = _commutator(ma, mb)
         if comm:
@@ -227,7 +225,14 @@ def build_sl(n: int) -> GradedAlgebra:
                 label_index[la], label_index[lb], _decompose_gl(comm, n, label_index)
             )
     cartan = [label_index[f"H_{k}"] for k in range(1, n)]
-    return b.build(f"sl_{n}", cartan)
+    return b.build(name, cartan)
+
+
+def build_sl(n: int) -> GradedAlgebra:
+    """The trace-zero matrix algebra, graded over simple-root coordinates."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    return _matrix_algebra(f"sl_{n}", n, _sl_matrices(n))
 
 
 def build_borel(n: int, sign: str = "+") -> GradedAlgebra:
@@ -236,27 +241,15 @@ def build_borel(n: int, sign: str = "+") -> GradedAlgebra:
         raise ValueError("sign must be '+' or '-'")
     if n < 2:
         raise ValueError("n must be >= 2")
-    mats, _ = _sl_matrices(n)
     keep = []
-    for label, deg, mat in mats:
+    for label, deg, mat in _sl_matrices(n):
         if label.startswith("H_"):
             keep.append((label, deg, mat))
         else:
             (i, j), = mat.keys()
             if (i < j) == (sign == "+"):
                 keep.append((label, deg, mat))
-    b = _Builder(n - 1)
-    label_index: dict[str, int] = {}
-    for label, deg, _mat in keep:
-        label_index[label] = b.add(label, deg)
-    for (la, _da, ma), (lb, _db, mb) in itertools.combinations(keep, 2):
-        comm = _commutator(ma, mb)
-        if comm:
-            b.set_bracket(
-                label_index[la], label_index[lb], _decompose_gl(comm, n, label_index)
-            )
-    cartan = [label_index[f"H_{k}"] for k in range(1, n)]
-    return b.build(f"borel{sign}_sl{n}", cartan)
+    return _matrix_algebra(f"borel{sign}_sl{n}", n, keep)
 
 
 def build_counterexample_k() -> GradedAlgebra:

@@ -385,6 +385,8 @@ def _parse_map_file(alg: GradedAlgebra, path: str) -> dict[int, Element]:
             b = alg.index_of(entry["source"])
         except KeyError as exc:
             raise UsageError(str(exc)) from exc
+        if b in images:
+            raise UsageError(f"source {entry['source']!r} is listed twice")
         value: Element = {}
         for term in entry["value"]:
             if (

@@ -10,6 +10,7 @@ whose solutions are compared order against order on an inner window.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +38,6 @@ from .linalg import (
     vector_in_span,
 )
 
-_ONE = Fraction(1)
 _COEFF_POOL = (Fraction(-2), Fraction(-1), Fraction(1), Fraction(2))
 
 
@@ -53,9 +53,6 @@ class HomogeneousMap:
 
     gamma: Degree
     images: Mapping[int, Element]
-
-    def is_zero(self) -> bool:
-        return all(not img for img in self.images.values())
 
 
 class UnknownIndex:
@@ -113,9 +110,14 @@ def build_constraints(
 ) -> tuple[SparseMatrix, UnknownIndex]:
     """Assemble the homogeneous constraint system over all safe basis tuples.
 
-    One row block per safe tuple and target coordinate; duplicate rows (up to
-    scaling) and zero rows are dropped; surviving rows are ordered by
-    (lexicographic tuple, target position) of their first occurrence.
+    One row block per safe tuple and target coordinate.  The walk runs on the
+    algebra's integer-scaled structure constants, so every row is the true
+    row times scale**(order-1) and spans the same solution space.  Each row
+    is divided by the gcd of its entries and signed so that its lead entry is
+    positive; that primitive integer row is also its own dedup key, so rows
+    equal up to scaling and zero rows are dropped.  Surviving rows keep the
+    order in which the walk first meets them; their entries are ``Fraction``
+    values with denominator 1.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
@@ -126,25 +128,20 @@ def build_constraints(
     apply_basis = alg._apply_basis
     is_safe_sum = alg.is_safe_sum
 
-    def extensions(s: Degree) -> list[tuple[tuple[int, ...], Degree]]:
-        """Degree choices for the next (leftward) tuple slot from suffix sum
-        s: those whose new partial sum is safe."""
-        out = []
-        for d, members in by_deg.items():
-            s2 = add_degrees(s, d)
-            if is_safe_sum(s2, gamma):
-                out.append((members, s2))
-        return out
-
     ext_cache: dict[Degree, list] = {}
 
     def ext(s: Degree) -> list[tuple[tuple[int, ...], Degree]]:
+        """Degree choices for the next (leftward) tuple slot from suffix sum
+        s: those whose new partial sum is safe."""
         got = ext_cache.get(s)
         if got is None:
-            got = ext_cache[s] = extensions(s)
+            got = ext_cache[s] = []
+            for d, members in by_deg.items():
+                s2 = add_degrees(s, d)
+                if is_safe_sum(s2, gamma):
+                    got.append((members, s2))
         return got
 
-    start = extensions(alg.zero_degree())
     candidates: list[tuple[tuple[int, int], ...]] = []
     for b in range(alg.dim):
         tdeg = add_degrees(alg.degree_of(b), gamma)
@@ -152,12 +149,11 @@ def build_constraints(
             tuple((colmap[(b, bp)], bp) for bp in alg.basis_at(tdeg))
         )
 
-    best: dict[tuple, tuple] = {}
+    best: dict[tuple[tuple[int, int], ...], None] = {}
 
-    def emit(path: tuple, total: Degree, plain: Element, ins) -> None:
-        targets = by_deg.get(add_degrees(total, gamma), ())
-        for tpos, t in enumerate(targets):
-            row: dict[int, Rational] = {}
+    def emit(total: Degree, plain: dict[int, int], ins) -> None:
+        for t in by_deg.get(add_degrees(total, gamma), ()):
+            row: dict[int, int] = {}
             for k, c in plain.items():
                 row[colmap[(k, t)]] = c
             for col, elt in ins:
@@ -171,53 +167,41 @@ def build_constraints(
                         del row[col]
             if not row:
                 continue
-            items = sorted(row.items())
-            lead = items[0][1]
-            if lead == 1:
-                key = tuple((col, v.numerator, v.denominator) for col, v in items)
-            else:
-                parts = []
-                for col, v in items:
-                    w = v / lead
-                    parts.append((col, w.numerator, w.denominator))
-                key = tuple(parts)
-            sk = path + (tpos,)
-            prev = best.get(key)
-            if prev is None or sk < prev:
-                best[key] = sk
+            key = tuple(sorted(row.items()))
+            g = math.gcd(*row.values())
+            if key[0][1] < 0:
+                g = -g
+            if g != 1:
+                key = tuple((col, v // g) for col, v in key)
+            best[key] = None
 
-    def walk(level: int, s: Degree, plain, ins, path: tuple) -> None:
-        first = plain is None
-        for members, s2 in (start if first else ext(s)):
+    def walk(level: int, s: Degree, plain: dict[int, int], ins) -> None:
+        for members, s2 in ext(s):
             for b in members:
-                if first:
-                    new_plain: Element = {b: _ONE}
-                    new_ins = [(col, {bp: _ONE}) for col, bp in candidates[b]]
-                else:
-                    new_plain = apply_basis(b, plain)
-                    new_ins = []
-                    for col, elt in ins:
-                        e2 = apply_basis(b, elt)
-                        if e2:
-                            new_ins.append((col, e2))
-                    for col, bp in candidates[b]:
-                        e2 = apply_basis(bp, plain)
-                        if e2:
-                            new_ins.append((col, e2))
+                new_plain = apply_basis(b, plain)
+                new_ins = []
+                for col, elt in ins:
+                    e2 = apply_basis(b, elt)
+                    if e2:
+                        new_ins.append((col, e2))
+                for col, bp in candidates[b]:
+                    e2 = apply_basis(bp, plain)
+                    if e2:
+                        new_ins.append((col, e2))
                 if not new_plain and not new_ins:
                     continue  # nothing can emerge from an all-zero suffix
-                new_path = (b,) + path
                 if level == 1:
-                    emit(new_path, s2, new_plain, new_ins)
+                    emit(s2, new_plain, new_ins)
                 else:
-                    walk(level - 1, s2, new_plain, new_ins, new_path)
+                    walk(level - 1, s2, new_plain, new_ins)
 
-    walk(order, alg.zero_degree(), None, None, ())
+    for members, s2 in ext(alg.zero_degree()):
+        for b in members:
+            ins = [(col, {bp: 1}) for col, bp in candidates[b]]
+            walk(order - 1, s2, {b: 1}, ins)
 
-    ordered = sorted(best.items(), key=lambda kv: kv[1])
     rows = tuple(
-        SparseVector(tuple((col, Fraction(num, den)) for col, num, den in key))
-        for key, _ in ordered
+        SparseVector(tuple((col, Fraction(v)) for col, v in key)) for key in best
     )
     return SparseMatrix(len(index), rows), index
 
@@ -284,11 +268,12 @@ def compare_orders(
     p1 = project_basis(basis1, proj_cols)
     p2 = project_basis(basis2, proj_cols)
     equal = row_space_equal(p1, p2)
-    rank_union = _rank_of_rows(p1.vectors + p2.vectors, p1.dim_ambient)
-    intersection = p1.dim + p2.dim - rank_union
+    intersection = p1.dim
     witness_side = None
     witness = None
     if not equal:
+        rank_union = _rank_of_rows(p1.vectors + p2.vectors, p1.dim_ambient)
+        intersection = p1.dim + p2.dim - rank_union
         for v in p2.vectors:
             if not vector_in_span(v, p1):
                 witness_side, witness = "second", v

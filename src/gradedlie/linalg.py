@@ -70,9 +70,6 @@ class SparseVector:
                 break
         return _ZERO
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def max_index(self) -> int:
         return self.entries[-1][0] if self.entries else -1
 
@@ -140,23 +137,18 @@ class SubspaceBasis:
 def _rref_dicts(
     rows: Iterable[Mapping[int, Rational] | Iterable[tuple[int, Rational]]],
     num_cols: int,
-    aug: bool = False,
-) -> tuple[list[dict[int, Rational]], list[int], list[dict[int, Rational]]]:
+) -> tuple[list[dict[int, Rational]], list[int]]:
     """Reduce rows (dicts or (column, value) pairs, no zero values) to the
-    unique RREF of their span.
+    unique RREF of their span, returned as pivot rows and their pivots.
 
     Rows are folded in one at a time against the reduced basis built so far,
     so dependent and repeated rows vanish cheaply instead of being dragged
-    through a full Gauss-Jordan sweep; no separate dedup pass is needed.
-    Entries at columns >= num_cols (an augmented right-hand side) ride along
-    but never become pivots; rows whose residue lives only there are returned
-    as the third component.  With ``aug`` unset the reduction stops early
-    once every column is a pivot.
+    through a full Gauss-Jordan sweep; no separate dedup pass is needed.  The
+    reduction stops early once every column is a pivot.
     """
     pivot_rows: dict[int, dict[int, Rational]] = {}
-    residues: list[dict[int, Rational]] = []
     for row in rows:
-        if not aug and len(pivot_rows) == num_cols:
+        if len(pivot_rows) == num_cols:
             break  # further rows cannot add rank
         r = dict(row)
         # Clear every entry sitting at an existing pivot column.  Pivot rows
@@ -179,9 +171,6 @@ def _rref_dicts(
         if not r:
             continue
         lead = min(r)
-        if lead >= num_cols:
-            residues.append(r)
-            continue
         f = r[lead]
         if f != 1:
             r = {j: v / f for j, v in r.items()}
@@ -197,12 +186,12 @@ def _rref_dicts(
                         del q[j]
         pivot_rows[lead] = r
     pivots = sorted(pivot_rows)
-    return [pivot_rows[p] for p in pivots], pivots, residues
+    return [pivot_rows[p] for p in pivots], pivots
 
 
 def nullspace(m: SparseMatrix) -> SubspaceBasis:
     """Canonical nullspace basis: free variables set to 1 in increasing column order."""
-    reduced, pivots, _ = _rref_dicts((r.entries for r in m.rows), m.num_cols)
+    reduced, pivots = _rref_dicts((r.entries for r in m.rows), m.num_cols)
     pivot_set = set(pivots)
     vectors = []
     for free in range(m.num_cols):
@@ -224,7 +213,7 @@ def solve(m: SparseMatrix, b: SparseVector) -> Optional[SparseVector]:
     """
     if b.max_index() >= m.num_rows:
         raise ValueError("right-hand side has more entries than rows")
-    aug = m.num_cols  # extra column carrying the right-hand side
+    aug = m.num_cols  # the right-hand side, as one more ordinary column
     rhs = b.to_dict()
     rows = []
     for i, row in enumerate(m.rows):
@@ -233,9 +222,9 @@ def solve(m: SparseMatrix, b: SparseVector) -> Optional[SparseVector]:
         if r:
             d[aug] = r
         rows.append(d)
-    reduced, pivots, residues = _rref_dicts(rows, m.num_cols, aug=True)
-    if residues:
-        return None  # a nonzero right-hand side survived a zero left side
+    reduced, pivots = _rref_dicts(rows, m.num_cols + 1)
+    if pivots and pivots[-1] == aug:
+        return None  # a pivot there is a row reading 0 = nonzero
     x: dict[int, Rational] = {}
     for row, p in zip(reduced, pivots):
         v = row.get(aug)
@@ -245,18 +234,17 @@ def solve(m: SparseMatrix, b: SparseVector) -> Optional[SparseVector]:
 
 
 def _rank_of_rows(rows: Iterable[SparseVector], num_cols: int) -> int:
-    _, pivots, _ = _rref_dicts((r.entries for r in rows), num_cols)
+    _, pivots = _rref_dicts((r.entries for r in rows), num_cols)
     return len(pivots)
 
 
 def row_space_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:
-    """True iff span(a) = span(b), decided by exact rank comparison."""
+    """True iff span(a) = span(b), decided by comparing their unique RREFs."""
     if a.dim_ambient != b.dim_ambient:
         raise ValueError("ambient dimension mismatch")
-    ra = _rank_of_rows(a.vectors, a.dim_ambient)
-    rb = _rank_of_rows(b.vectors, b.dim_ambient)
-    rs = _rank_of_rows(a.vectors + b.vectors, a.dim_ambient)
-    return ra == rb == rs
+    ra, _ = _rref_dicts((r.entries for r in a.vectors), a.dim_ambient)
+    rb, _ = _rref_dicts((r.entries for r in b.vectors), b.dim_ambient)
+    return ra == rb
 
 
 def vector_in_span(v: SparseVector, basis: SubspaceBasis) -> bool:
@@ -282,7 +270,7 @@ def project_basis(a: SubspaceBasis, coords: Sequence[int]) -> SubspaceBasis:
     for v in a.vectors:
         row = {position[i]: c for i, c in v.entries if i in position}
         projected.append(row)
-    reduced, _, _ = _rref_dicts(projected, len(coords))
+    reduced, _ = _rref_dicts(projected, len(coords))
     return SubspaceBasis(
         len(coords), tuple(SparseVector.from_dict(r) for r in reduced)
     )

@@ -272,9 +272,15 @@ class TestDecompose:
             {"images": [{"source": "L_0", "value": [{"label": "M_1", "c": 1}]}]},
             {"images": [{"source": ["L_0"], "value": []}]},
             {"images": [{"source": "L_0", "value": [{"label": ["M_1"], "c": "1"}]}]},
+            {
+                "images": [
+                    {"source": "L_0", "value": [{"label": "M_1", "c": "1"}]},
+                    {"source": "L_0", "value": [{"label": "M_-1", "c": "1"}]},
+                ]
+            },
         ],
         ids=["images-not-list", "value-not-list", "c-not-string",
-             "source-not-string", "label-not-string"],
+             "source-not-string", "label-not-string", "source-repeated"],
     )
     def test_malformed_map(self, capsys, tmp_path, k_file, doc):
         mapfile = tmp_path / "map.json"

@@ -1,9 +1,13 @@
+import functools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gradedlie import builders
+from gradedlie.algebra import GradedAlgebra
 from gradedlie.builders import WindowSpec
 from gradedlie.derivations import (
     HomogeneousMap,
@@ -19,7 +23,12 @@ from gradedlie.derivations import (
     solve_nder,
     verify_property_witness,
 )
-from gradedlie.linalg import SubspaceBasis, row_space_equal, vector_in_span
+from gradedlie.linalg import (
+    SubspaceBasis,
+    nullspace,
+    row_space_equal,
+    vector_in_span,
+)
 
 from oracle import oracle_gammas, oracle_nder_dim
 
@@ -75,6 +84,74 @@ class TestBuildConstraints:
         m1, _ = build_constraints(sv2, 3, (1,))
         m2, _ = build_constraints(sv2, 3, (1,))
         assert m1 == m2
+
+
+def scaled(alg: GradedAlgebra, c: Fraction) -> GradedAlgebra:
+    """``alg`` with every stored structure constant multiplied by c."""
+    brackets = {
+        key: tuple((k, c * v) for k, v in terms)
+        for key, terms in alg.brackets.items()
+    }
+    return GradedAlgebra(
+        alg.name, alg.grading_dim, alg.basis, brackets, alg.cartan, alg.truncated
+    )
+
+
+_SCALING_FAMILIES = {
+    "K": builders.build_counterexample_k,
+    "sl2": lambda: builders.build_sl(2),
+    "sv1": lambda: builders.build_sv(WindowSpec(1)),
+    "witt1": lambda: builders.build_witt(1, WindowSpec(2)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _unscaled_systems(family: str):
+    """The family's algebra plus (row count, nullspace) per order and shift."""
+    alg = _SCALING_FAMILIES[family]()
+    systems = {}
+    for order in (2, 3, 4):
+        for gamma in domain_gammas(alg):
+            matrix, _ = build_constraints(alg, order, gamma)
+            systems[(order, gamma)] = (matrix.num_rows, nullspace(matrix))
+    return alg, systems
+
+
+@pytest.mark.parametrize("family", sorted(_SCALING_FAMILIES))
+@settings(max_examples=10, deadline=None)
+@given(
+    c=st.fractions(min_value=-6, max_value=6, max_denominator=12).filter(bool)
+)
+@example(c=Fraction(-3))
+@example(c=Fraction(1, 2))
+@example(c=Fraction(7, 3))
+@example(c=Fraction(-5, 12))
+def test_bracket_scaling_invariance(family, c):
+    # N-derivations of c·[,] are those of [,]: both sides scale by c**(N-1).
+    # A non-integer c makes the walk's integer scale exceed 1 on every family.
+    alg, systems = _unscaled_systems(family)
+    other = scaled(alg, c)
+    for (order, gamma), (num_rows, basis) in systems.items():
+        matrix, _ = build_constraints(other, order, gamma)
+        assert matrix.num_rows == num_rows, (order, gamma)
+        assert nullspace(matrix) == basis, (order, gamma)
+
+
+@pytest.mark.parametrize("family", sorted(_SCALING_FAMILIES))
+@pytest.mark.parametrize(
+    "c", [Fraction(1), Fraction(-3), Fraction(1, 2), Fraction(7, 3), Fraction(-5, 12)]
+)
+def test_constraint_row_contract(family, c):
+    # every row is a primitive integer vector with a positive lead entry
+    alg, systems = _unscaled_systems(family)
+    other = scaled(alg, c)
+    for order, gamma in systems:
+        matrix, _ = build_constraints(other, order, gamma)
+        for row in matrix.rows:
+            values = [v for _, v in row.entries]
+            assert all(type(v) is Fraction and v.denominator == 1 for v in values)
+            assert math.gcd(*(v.numerator for v in values)) == 1
+            assert values[0] > 0
 
 
 class TestSolveNder:

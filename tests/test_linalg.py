@@ -73,7 +73,7 @@ class TestSparseTypes:
 
 def rref(m: SparseMatrix):
     """Rank and reduced rows of ``m`` from the solver's elimination."""
-    reduced, pivots, _ = _rref_dicts((r.entries for r in m.rows), m.num_cols)
+    reduced, pivots = _rref_dicts((r.entries for r in m.rows), m.num_cols)
     return len(pivots), SparseMatrix.from_rows(m.num_cols, reduced)
 
 
@@ -176,12 +176,25 @@ def check_linalg_properties(m: SparseMatrix) -> None:
     basis = nullspace(m)
     # rank-nullity against the independent dense elimination
     dense = [[row.get(c) for c in range(m.num_cols)] for row in m.rows]
-    assert m.num_cols - basis.dim == dense_rank(dense)
+    rank = dense_rank(dense)
+    assert m.num_cols - basis.dim == rank
     # exact residuals
     for v in basis.vectors:
         assert all(r == 0 for r in m.apply(v.to_dict()))
-    # repeated, rescaled and reordered rows leave the canonical basis unchanged
     rng = random.Random(m.num_cols)
+    # solve meets a consistent right-hand side exactly, free columns at zero
+    x0 = {c: Fraction(rng.randrange(-3, 4)) for c in range(m.num_cols)}
+    b = m.apply(x0)
+    x = solve(m, SparseVector.from_dict(dict(enumerate(b))))
+    assert x is not None and m.apply(x.to_dict()) == b
+    assert all(x.get(v.max_index()) == 0 for v in basis.vectors)
+    # and finds none exactly when the right-hand side raises the rank
+    b = [Fraction(rng.randrange(-2, 3)) for _ in m.rows]
+    x = solve(m, SparseVector.from_dict(dict(enumerate(b))))
+    augmented = [row + [v] for row, v in zip(dense, b)]
+    assert (x is None) == (dense_rank(augmented) > rank)
+    assert x is None or m.apply(x.to_dict()) == b
+    # repeated, rescaled and reordered rows leave the canonical basis unchanged
     rows = [r.to_dict() for r in m.rows]
     rows += [{i: -2 * c for i, c in r.items()} for r in rows]
     rng.shuffle(rows)
@@ -211,5 +224,10 @@ def test_row_space_invariances(seed):
     other = SubspaceBasis(m.num_cols, tuple(scaled))
     assert row_space_equal(basis, other)
     assert row_space_equal(other, basis)
+    # so does a repeated generator
+    repeats = scaled[: rng.randrange(len(scaled) + 1)]
+    doubled = SubspaceBasis(m.num_cols, tuple(scaled + repeats))
+    assert row_space_equal(basis, doubled)
+    assert row_space_equal(doubled, basis)
     for v in basis.vectors:
         assert vector_in_span(v, other)
