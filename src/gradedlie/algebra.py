@@ -6,10 +6,11 @@ designated Cartan index set.  Brackets whose true result lies outside the
 stored degree set are simply absent; soundness of every computation on a
 truncation is the caller's responsibility via :meth:`GradedAlgebra.is_safe_sum`.
 
-``brackets`` and the ``bracket`` evaluators are exact ``Fraction`` values; the
-constraint walk and the Jacobi check read a private integer table of every
-constant times their least common denominator ``scale``, since a uniformly
-scaled bracket has the same Jacobi zeros and N-derivation spaces.
+``brackets`` holds the constants as exact ``Fraction`` values.  Every
+evaluation reads one private integer table of the constants times their least
+common denominator ``scale``: the walk and the Jacobi check use it as is (a
+uniformly scaled bracket has the same Jacobi zeros and N-derivation spaces),
+and ``bracket``/``pair_bracket`` divide by ``scale`` once.
 """
 
 from __future__ import annotations
@@ -147,6 +148,7 @@ class GradedAlgebra:
             table[(i, j)] = scaled
             table[(j, i)] = tuple((k, -c) for k, c in scaled)
         self._table = table
+        self._scale = scale
 
     # -- plain accessors -------------------------------------------------
 
@@ -197,16 +199,17 @@ class GradedAlgebra:
     # -- bracket evaluation ----------------------------------------------
 
     def pair_bracket(self, i: int, j: int) -> tuple[tuple[int, Rational], ...]:
-        """[e_i, e_j] as stored terms, with antisymmetry synthesized."""
-        if i > j:
-            return tuple((k, -c) for k, c in self.brackets.get((j, i), ()))
-        return self.brackets.get((i, j), ())
+        """[e_i, e_j] as (target, Fraction) terms, read from the integer table
+        (which holds both key orders) and divided by scale."""
+        scale = self._scale
+        return tuple((k, Fraction(c, scale)) for k, c in self._table.get((i, j), ()))
 
-    def _apply_basis(self, i: int, x: dict[int, int]) -> dict[int, int]:
-        """scale·[e_i, x] for an integer-valued x, without input validation
-        (hot path)."""
+    def _apply_basis(self, i: int, x: Mapping[int, Rational]) -> dict[int, Rational]:
+        """scale·[e_i, x] for any exact-valued x (int or Fraction), without
+        input validation (hot path); the constraint walk passes ints and
+        gets ints back."""
         table = self._table
-        out: dict[int, int] = {}
+        out: dict[int, Rational] = {}
         for j, c in x.items():
             terms = table.get((i, j))
             if terms:
@@ -236,22 +239,14 @@ class GradedAlgebra:
         self._check_element(y)
         out: Element = {}
         for i, cx in x.items():
-            for j, cy in y.items():
-                terms = self.pair_bracket(i, j)
-                if not terms:
-                    continue
-                c = cx * cy
-                for k, s in terms:
-                    v = out.get(k)
-                    if v is None:
-                        out[k] = c * s
-                    else:
-                        nv = v + c * s
-                        if nv:
-                            out[k] = nv
-                        else:
-                            del out[k]
-        return out
+            for k, s in self._apply_basis(i, y).items():
+                nv = out.get(k, 0) + cx * s
+                if nv:
+                    out[k] = nv
+                else:
+                    del out[k]
+        scale = self._scale
+        return {k: Fraction(v, scale) for k, v in out.items()}
 
     def n_bracket(self, xs: Sequence[Element]) -> Element:
         """Right-nested iterated bracket, folding from the last pair leftward."""
@@ -326,7 +321,7 @@ class GradedAlgebra:
 
         for h in sorted(self.cartan):
             for x in range(self.dim):
-                terms = self.pair_bracket(h, x)
+                terms = self._table.get((h, x))
                 if terms and (len(terms) > 1 or terms[0][0] != x):
                     violations.append(
                         Violation(

@@ -305,7 +305,8 @@ def _expect_keys(obj: dict, keys: set[str], where: str) -> None:
 
 
 def load(data: bytes) -> GradedAlgebra:
-    """Parse and validate an algebra file; invalid algebras are rejected."""
+    """Parse and validate an algebra file; invalid algebras are rejected.
+    Integer fields must be ``int`` proper: JSON booleans are rejected."""
     try:
         doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -314,7 +315,7 @@ def load(data: bytes) -> GradedAlgebra:
     name = doc["name"]
     gd = doc["grading_dim"]
     truncated = doc["truncated"]
-    if not isinstance(name, str) or not isinstance(gd, int) or gd < 1:
+    if not isinstance(name, str) or type(gd) is not int or gd < 1:
         raise ParseError("bad name or grading_dim")
     if not isinstance(truncated, bool):
         raise ParseError("truncated must be a boolean")
@@ -329,7 +330,7 @@ def load(data: bytes) -> GradedAlgebra:
         if (
             not isinstance(degree, list)
             or len(degree) != gd
-            or not all(isinstance(v, int) for v in degree)
+            or not all(type(v) is int for v in degree)
         ):
             raise ParseError(f"basis[{pos}]: degree must be {gd} integers")
         basis.append(BasisElement(pos, label, tuple(degree)))
@@ -337,7 +338,7 @@ def load(data: bytes) -> GradedAlgebra:
     if not isinstance(cartan, list) or cartan != sorted(set(cartan)):
         raise ParseError("cartan must be a sorted list of distinct indices")
     for h in cartan:
-        if not isinstance(h, int) or not 0 <= h < len(basis):
+        if type(h) is not int or not 0 <= h < len(basis):
             raise ParseError(f"cartan index {h} out of range")
     if not isinstance(doc["brackets"], list):
         raise ParseError("brackets must be a list")
@@ -346,7 +347,7 @@ def load(data: bytes) -> GradedAlgebra:
     for pos, entry in enumerate(doc["brackets"]):
         _expect_keys(entry, {"i", "j", "terms"}, f"brackets[{pos}]")
         i, j, terms = entry["i"], entry["j"], entry["terms"]
-        if not isinstance(i, int) or not isinstance(j, int) or not i < j:
+        if type(i) is not int or type(j) is not int or not i < j:
             raise ParseError(f"brackets[{pos}]: require integer indices with i < j")
         if not (0 <= i < len(basis) and j < len(basis)):
             raise ParseError(f"brackets[{pos}]: index out of range")
@@ -361,7 +362,7 @@ def load(data: bytes) -> GradedAlgebra:
         for t in terms:
             _expect_keys(t, {"k", "c"}, f"brackets[{pos}] term")
             k, c = t["k"], t["c"]
-            if not isinstance(k, int) or not 0 <= k < len(basis):
+            if type(k) is not int or not 0 <= k < len(basis):
                 raise ParseError(f"brackets[{pos}]: target {k} out of range")
             if k <= prev_k:
                 raise ParseError(f"brackets[{pos}]: terms must be sorted by k")

@@ -116,8 +116,9 @@ def build_constraints(
     is divided by the gcd of its entries and signed so that its lead entry is
     positive; that primitive integer row is also its own dedup key, so rows
     equal up to scaling and zero rows are dropped.  Surviving rows keep the
-    order in which the walk first meets them; their entries are ``Fraction``
-    values with denominator 1.
+    order in which the walk first meets them; their entries are Python
+    ``int`` values, and ``Fraction`` first appears at the pivot division in
+    elimination.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
@@ -199,11 +200,11 @@ def build_constraints(
         for b in members:
             ins = [(col, {bp: 1}) for col, bp in candidates[b]]
             walk(order - 1, s2, {b: 1}, ins)
+    # walk reaches itself through its closure cell; break that cycle so the
+    # walk's caches are freed on return instead of at the next cyclic GC.
+    del walk
 
-    rows = tuple(
-        SparseVector(tuple((col, Fraction(v)) for col, v in key)) for key in best
-    )
-    return SparseMatrix(len(index), rows), index
+    return SparseMatrix(len(index), tuple(map(SparseVector, best))), index
 
 
 def solve_nder(alg: GradedAlgebra, order: int, gamma: Degree) -> SubspaceBasis:

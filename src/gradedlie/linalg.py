@@ -1,9 +1,9 @@
 """Exact sparse linear algebra over the rationals.
 
-All scalars are ``fractions.Fraction`` values, which are always kept in
-canonical form (positive denominator, reduced, zero as 0/1).  Elimination is
-plain Gauss-Jordan with a fixed pivot rule, so every result is deterministic
-and the reduced row-echelon form is the unique one.
+Rows may carry ``int`` or ``fractions.Fraction`` values; the only division in
+elimination is ``Fraction(v, f)``, so every result is an exact ``Fraction``.
+Elimination is plain Gauss-Jordan with a fixed pivot rule, so every result is
+deterministic and the reduced row-echelon form is the unique one.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ def format_rational(value: Rational) -> str:
 def parse_rational(text: str) -> Rational:
     """Parse the canonical ``p/q`` / ``p`` wire form, rejecting anything else."""
     m = _RATIONAL_RE.match(text)
-    if m is None:
+    if m is None or m.group(2) == "1":
         raise ValueError(f"not a canonical rational: {text!r}")
     num = int(m.group(1))
     den = int(m.group(2)) if m.group(2) else 1
@@ -138,8 +138,8 @@ def _rref_dicts(
     rows: Iterable[Mapping[int, Rational] | Iterable[tuple[int, Rational]]],
     num_cols: int,
 ) -> tuple[list[dict[int, Rational]], list[int]]:
-    """Reduce rows (dicts or (column, value) pairs, no zero values) to the
-    unique RREF of their span, returned as pivot rows and their pivots.
+    """Reduce int or Fraction rows (dicts or (column, value) pairs, no zero
+    values) to the unique RREF of their span, as pivot rows and pivots.
 
     Rows are folded in one at a time against the reduced basis built so far,
     so dependent and repeated rows vanish cheaply instead of being dragged
@@ -151,29 +151,26 @@ def _rref_dicts(
         if len(pivot_rows) == num_cols:
             break  # further rows cannot add rank
         r = dict(row)
-        # Clear every entry sitting at an existing pivot column.  Pivot rows
-        # only carry their own pivot plus free columns, so eliminations fill
-        # in at free columns only and one sweep suffices; re-collect anyway.
-        hits = [j for j in r if j in pivot_rows]
-        while hits:
-            for j in sorted(hits):
-                f = r.pop(j)
-                for col, v in pivot_rows[j].items():
-                    if col == j:
-                        continue
-                    nv = r.get(col)
-                    nv = -f * v if nv is None else nv - f * v
-                    if nv:
-                        r[col] = nv
-                    else:
-                        del r[col]
-            hits = [j for j in r if j in pivot_rows]
+        # Clear every entry sitting at an existing pivot column.  Each pivot
+        # row is zero at every other pivot column, so subtracting f·P_j
+        # writes only column j and free columns: one sweep suffices.
+        for j in [j for j in r if j in pivot_rows]:
+            f = r.pop(j)
+            for col, v in pivot_rows[j].items():
+                if col == j:
+                    continue
+                nv = r.get(col)
+                nv = -f * v if nv is None else nv - f * v
+                if nv:
+                    r[col] = nv
+                else:
+                    del r[col]
         if not r:
             continue
         lead = min(r)
         f = r[lead]
         if f != 1:
-            r = {j: v / f for j, v in r.items()}
+            r = {j: Fraction(v, f) for j, v in r.items()}
         for q in pivot_rows.values():
             g = q.get(lead)
             if g:

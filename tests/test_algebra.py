@@ -51,6 +51,23 @@ class TestBracket:
         assert lhs == {k: v for k, v in rhs.items() if v}
 
 
+    def test_int_inputs_give_fractions(self, sv2):
+        # sv's constants have denominator 2, so every evaluation goes through
+        # the one division by the integer table's scale
+        assert sv2._scale == 2
+        for i in range(sv2.dim):
+            for j in range(sv2.dim):
+                terms = sv2.pair_bracket(i, j)
+                assert all(type(c) is Fraction for _, c in terms)
+                assert dict(terms) == oracle.dense_bracket(sv2, {i: 1}, {j: 1})
+        x = {sv2.index_of("L_2"): 1, sv2.index_of("Y_1/2"): -3}
+        y = {sv2.index_of("L_-2"): 2, sv2.index_of("Y_-1/2"): 1}
+        out = sv2.bracket(x, y)
+        assert all(type(c) is Fraction for c in out.values())
+        assert any(c.denominator == 2 for c in out.values())
+        assert out == oracle.dense_bracket(sv2, x, y)
+
+
 class TestNBracket:
     def test_sv_triple(self, sv2):
         out = sv2.n_bracket(

@@ -297,6 +297,25 @@ class TestSaveLoad:
         with pytest.raises(ParseError):
             load(json.dumps(doc).encode())
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc.update(grading_dim=True),
+            lambda doc: doc["basis"][1].update(degree=[True]),
+            lambda doc: doc.update(cartan=[False]),
+            lambda doc: doc["brackets"][0].update(i=False, j=True),
+            lambda doc: doc["brackets"][0]["terms"][0].update(k=True),
+        ],
+        ids=["grading_dim", "degree", "cartan", "i-j", "k"],
+    )
+    def test_boolean_as_integer_rejected(self, k_alg, edit):
+        # JSON true/false load as bool, a subclass of int; each edit keeps
+        # the value the field had, so only the type is wrong
+        doc = json.loads(save(k_alg))
+        edit(doc)
+        with pytest.raises(ParseError):
+            load(json.dumps(doc).encode())
+
     def test_malformed_json(self):
         with pytest.raises(ParseError):
             load(b"{not json")

@@ -50,7 +50,9 @@ class TestRationalWireFormat:
             assert format_rational(parse_rational(text)) == text
 
     @pytest.mark.parametrize(
-        "bad", ["2/4", "1/-2", "1.5", "", "3/0", "+2", "02", "-0", "1/01"]
+        "bad",
+        ["2/4", "1/-2", "1.5", "", "3/0", "+2", "02", "-0", "1/01"]
+        + ["5/1", "0/1", "-3/1"],  # a denominator of 1 is never written
     )
     def test_parse_rejects_noncanonical(self, bad):
         with pytest.raises(ValueError):
@@ -231,3 +233,82 @@ def test_row_space_invariances(seed):
     assert row_space_equal(doubled, basis)
     for v in basis.vectors:
         assert vector_in_span(v, other)
+
+
+def int_matrix(rng: random.Random, max_rows=6, max_cols=7) -> SparseMatrix:
+    """A random matrix with plain ``int`` entries, as the constraint walk emits."""
+    cols = rng.randrange(1, max_cols + 1)
+    rows = []
+    for _ in range(rng.randrange(0, max_rows + 1)):
+        row = {c: rng.randrange(-6, 7) for c in range(cols) if rng.random() < 0.55}
+        entries = tuple((c, v) for c, v in sorted(row.items()) if v)
+        rows.append(SparseVector(entries))
+    return SparseMatrix(cols, tuple(rows))
+
+
+def as_fractions(m: SparseMatrix) -> SparseMatrix:
+    return SparseMatrix.from_rows(m.num_cols, [r.to_dict() for r in m.rows])
+
+
+def all_fractions(vectors) -> bool:
+    return all(type(c) is Fraction for v in vectors for _, c in v.entries)
+
+
+def check_int_rows_exact(m: SparseMatrix) -> None:
+    """int rows give the same Fraction-valued results as Fraction rows."""
+    f = as_fractions(m)
+    basis = nullspace(m)
+    assert all_fractions(basis.vectors) and basis == nullspace(f)
+    b = SparseVector(tuple((i, i + 2) for i in range(m.num_rows)))
+    x = solve(m, b)
+    assert x == solve(f, b)
+    assert x is None or all_fractions([x])
+    span = SubspaceBasis(m.num_cols, m.rows)
+    coords = list(range(0, m.num_cols, 2))
+    p = project_basis(span, coords)
+    assert all_fractions(p.vectors)
+    assert p == project_basis(SubspaceBasis(m.num_cols, f.rows), coords)
+
+
+class TestIntegerRows:
+    # rows whose leads are not 1 and meet no earlier pivot, so every pivot
+    # row goes through the division
+    ROWS = (((0, 2), (1, 4), (2, 3)), ((1, 3), (3, 5)), ((2, 5), (3, 7)))
+
+    def test_pivot_division_is_exact(self):
+        m = SparseMatrix(4, tuple(map(SparseVector, self.ROWS)))
+        reduced, pivots = _rref_dicts((r.entries for r in m.rows), m.num_cols)
+        assert pivots == [0, 1, 2]
+        assert all(type(v) is Fraction for row in reduced for v in row.values())
+        want, _ = _rref_dicts((r.entries for r in as_fractions(m).rows), m.num_cols)
+        assert reduced == want
+        assert reduced[0] == {0: 1, 3: Fraction(-163, 30)}
+
+    def test_public_results_are_fractions(self):
+        check_int_rows_exact(SparseMatrix(4, tuple(map(SparseVector, self.ROWS))))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_random_int_rows(self, seed):
+        check_int_rows_exact(int_matrix(random.Random(seed)))
+
+
+def check_rref_invariant(m: SparseMatrix) -> None:
+    """Every pivot row has lead 1 at its pivot and is zero at every other
+    pivot column: the property that lets one sweep clear a new row."""
+    reduced, pivots = _rref_dicts((r.entries for r in m.rows), m.num_cols)
+    assert pivots == sorted(set(pivots))
+    assert len(pivots) == dense_rank(
+        [[row.get(c) for c in range(m.num_cols)] for row in m.rows]
+    )
+    for row, p in zip(reduced, pivots):
+        assert min(row) == p and row[p] == 1
+        assert all(v != 0 for v in row.values())
+        assert not any(q in row for q in pivots if q != p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def test_rref_invariant(seed, ints):
+    rng = random.Random(seed)
+    check_rref_invariant(int_matrix(rng, 8, 7) if ints else random_matrix(rng, 8, 7))
