@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import Rational
@@ -332,37 +331,48 @@ class GradedAlgebra:
                         )
                     )
 
-        present = self._degree_set
-        for i, j, k in combinations_with_replacement(range(self.dim), 3):
-            if self.truncated:
-                # Every bracket in the identity must stay inside the window.
-                di, dj, dk = self._degrees[i], self._degrees[j], self._degrees[k]
-                if add_degrees(di, dj) not in present:
-                    continue
-                if add_degrees(dj, dk) not in present:
-                    continue
-                if add_degrees(di, dk) not in present:
-                    continue
-                if add_degrees(add_degrees(di, dj), dk) not in present:
-                    continue
-            # Integer table: every term carries the same factor scale**2.
-            total: dict[int, int] = {}
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                inner = dict(self._table.get((b, c), ()))
-                for t, v in self._apply_basis(a, inner).items():
-                    nv = total.get(t, 0) + v
-                    if nv:
-                        total[t] = nv
-                    else:
-                        total.pop(t, None)
-            if total:
-                violations.append(
-                    Violation(
-                        "jacobi",
-                        (i, j, k),
-                        f"Jacobi fails on ({self.label(i)}, {self.label(j)}, "
-                        f"{self.label(k)})",
-                    )
-                )
+        # Jacobi on i <= j <= k.  On a truncation every bracket in the
+        # identity must stay inside the window: ok[d][k] says whether
+        # d + deg k is present, for each present degree d.
+        degs, present = self._degrees, self._degree_set
+        table = {key: dict(terms) for key, terms in self._table.items()}
+        apply_basis = self._apply_basis
+        n = self.dim
+        truncated = self.truncated
+        if truncated:
+            ok = {d: [add_degrees(d, e) in present for e in degs] for d in present}
+        for i in range(n):
+            if truncated:
+                ok_i = ok[degs[i]]
+            for j in range(i, n):
+                if truncated:
+                    if not ok_i[j]:
+                        continue
+                    ok_j = ok[degs[j]]
+                    ok_ij = ok[add_degrees(degs[i], degs[j])]
+                for k in range(j, n):
+                    if truncated and not (ok_j[k] and ok_i[k] and ok_ij[k]):
+                        continue
+                    # Integer table: every term carries the same factor scale**2.
+                    total: dict[int, int] = {}
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                        inner = table.get((b, c))
+                        if not inner:
+                            continue
+                        for t, v in apply_basis(a, inner).items():
+                            nv = total.get(t, 0) + v
+                            if nv:
+                                total[t] = nv
+                            else:
+                                total.pop(t, None)
+                    if total:
+                        violations.append(
+                            Violation(
+                                "jacobi",
+                                (i, j, k),
+                                f"Jacobi fails on ({self.label(i)}, {self.label(j)}, "
+                                f"{self.label(k)})",
+                            )
+                        )
 
         return ValidationReport(tuple(violations), tuple(warnings))

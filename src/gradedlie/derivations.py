@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .algebra import (
     Degree,
@@ -26,6 +26,7 @@ from .algebra import (
 )
 from .builders import WindowSpec
 from .linalg import (
+    Echelon,
     Rational,
     SparseMatrix,
     SparseVector,
@@ -39,6 +40,9 @@ from .linalg import (
 )
 
 _COEFF_POOL = (Fraction(-2), Fraction(-1), Fraction(1), Fraction(2))
+
+# A primitive integer constraint row: sorted (column, value) pairs.
+Row = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -105,24 +109,26 @@ class UnknownIndex:
         return out
 
 
-def build_constraints(
-    alg: GradedAlgebra, order: int, gamma: Degree
-) -> tuple[SparseMatrix, UnknownIndex]:
-    """Assemble the homogeneous constraint system over all safe basis tuples.
+def constraint_rows(index: UnknownIndex, order: int) -> Iterator[Row]:
+    """Walk every safe tuple of the given order and yield each distinct
+    constraint row of the system on ``index`` the first time the walk meets it.
 
     One row block per safe tuple and target coordinate.  The walk runs on the
     algebra's integer-scaled structure constants, so every row is the true
     row times scale**(order-1) and spans the same solution space.  Each row
     is divided by the gcd of its entries and signed so that its lead entry is
-    positive; that primitive integer row is also its own dedup key, so rows
-    equal up to scaling and zero rows are dropped.  Surviving rows keep the
-    order in which the walk first meets them; their entries are Python
-    ``int`` values, and ``Fraction`` first appears at the pivot division in
-    elimination.
+    positive, and is yielded as a sorted tuple of (column, int) pairs; that
+    primitive row is also its own dedup key, so rows equal up to scaling and
+    zero rows are yielded once or not at all.
+
+    A tuple (..., a, b) and its mirror (..., b, a), which swaps the two
+    innermost elements, reach negated suffix states and so the same primitive
+    rows; the walk skips a == b, whose rows vanish, and skips a < b whenever
+    the mirror is itself safe (deg a is a safe sum).
     """
     if order < 2:
         raise ValueError("order must be >= 2")
-    index = UnknownIndex(alg, gamma)
+    alg = index.alg
     gamma = index.gamma
     colmap = index._col
     by_deg = {d: alg.basis_at(d) for d in sorted(alg.degree_set)}
@@ -131,16 +137,17 @@ def build_constraints(
 
     ext_cache: dict[Degree, list] = {}
 
-    def ext(s: Degree) -> list[tuple[tuple[int, ...], Degree]]:
+    def ext(s: Degree) -> list[tuple[tuple[int, ...], Degree, tuple[int, ...]]]:
         """Degree choices for the next (leftward) tuple slot from suffix sum
-        s: those whose new partial sum is safe."""
+        s: those whose new partial sum s2 is safe, with the targets of a row
+        whose tuple ends there (the basis at s2 + gamma)."""
         got = ext_cache.get(s)
         if got is None:
             got = ext_cache[s] = []
             for d, members in by_deg.items():
                 s2 = add_degrees(s, d)
                 if is_safe_sum(s2, gamma):
-                    got.append((members, s2))
+                    got.append((members, s2, by_deg.get(add_degrees(s2, gamma), ())))
         return got
 
     candidates: list[tuple[tuple[int, int], ...]] = []
@@ -149,14 +156,19 @@ def build_constraints(
         candidates.append(
             tuple((colmap[(b, bp)], bp) for bp in alg.basis_at(tdeg))
         )
+    # Elements that may sit innermost: those whose degree is a safe sum.
+    innermost = {b for members, _, _ in ext(alg.zero_degree()) for b in members}
+    # Per target t, the column of each source b of the unknown (b, t).
+    col_of: list[dict[int, int]] = [{} for _ in range(alg.dim)]
+    for col, (b, t) in enumerate(index.pairs):
+        col_of[t][b] = col
 
-    best: dict[tuple[tuple[int, int], ...], None] = {}
+    seen: set[Row] = set()
 
-    def emit(total: Degree, plain: dict[int, int], ins) -> None:
-        for t in by_deg.get(add_degrees(total, gamma), ()):
-            row: dict[int, int] = {}
-            for k, c in plain.items():
-                row[colmap[(k, t)]] = c
+    def emit(targets: tuple[int, ...], plain: dict[int, int], ins) -> Iterator[Row]:
+        for t in targets:
+            cols = col_of[t]
+            row = {cols[k]: c for k, c in plain.items()}
             for col, elt in ins:
                 v = elt.get(t)
                 if v:
@@ -174,11 +186,16 @@ def build_constraints(
                 g = -g
             if g != 1:
                 key = tuple((col, v // g) for col, v in key)
-            best[key] = None
+            if key not in seen:
+                seen.add(key)
+                yield key
 
-    def walk(level: int, s: Degree, plain: dict[int, int], ins) -> None:
-        for members, s2 in ext(s):
+    def walk(level: int, s: Degree, plain: dict[int, int], ins, inner: int):
+        # inner is the innermost element on the first step, -1 further out.
+        for members, s2, targets in ext(s):
             for b in members:
+                if b <= inner and (b == inner or b in innermost):
+                    continue  # the mirror tuple gives the same rows
                 new_plain = apply_basis(b, plain)
                 new_ins = []
                 for col, elt in ins:
@@ -192,19 +209,35 @@ def build_constraints(
                 if not new_plain and not new_ins:
                     continue  # nothing can emerge from an all-zero suffix
                 if level == 1:
-                    emit(s2, new_plain, new_ins)
+                    yield from emit(targets, new_plain, new_ins)
                 else:
-                    walk(level - 1, s2, new_plain, new_ins)
+                    yield from walk(level - 1, s2, new_plain, new_ins, -1)
 
-    for members, s2 in ext(alg.zero_degree()):
-        for b in members:
-            ins = [(col, {bp: 1}) for col, bp in candidates[b]]
-            walk(order - 1, s2, {b: 1}, ins)
-    # walk reaches itself through its closure cell; break that cycle so the
-    # walk's caches are freed on return instead of at the next cyclic GC.
-    del walk
+    try:
+        for members, s2, _ in ext(alg.zero_degree()):
+            for b in members:
+                ins = [(col, {bp: 1}) for col, bp in candidates[b]]
+                yield from walk(order - 1, s2, {b: 1}, ins, b)
+    finally:
+        # walk reaches itself through its closure cell; break that cycle so
+        # the walk's caches are freed when the rows end or the consumer
+        # stops early, instead of at the next cyclic GC.
+        del walk
 
-    return SparseMatrix(len(index), tuple(map(SparseVector, best))), index
+
+def build_constraints(
+    alg: GradedAlgebra, order: int, gamma: Degree
+) -> tuple[SparseMatrix, UnknownIndex]:
+    """Assemble the homogeneous constraint system over all safe basis tuples.
+
+    The rows are every row ``constraint_rows`` yields, in the order the walk
+    first meets them: primitive integer vectors (gcd 1, lead entry positive)
+    of Python ``int`` values, distinct up to scaling; ``Fraction`` first
+    appears at the pivot division in elimination.
+    """
+    index = UnknownIndex(alg, gamma)
+    rows = tuple(map(SparseVector, constraint_rows(index, order)))
+    return SparseMatrix(len(index), rows), index
 
 
 def solve_nder(alg: GradedAlgebra, order: int, gamma: Degree) -> SubspaceBasis:
@@ -214,14 +247,24 @@ def solve_nder(alg: GradedAlgebra, order: int, gamma: Degree) -> SubspaceBasis:
 
 
 def is_nder(alg: GradedAlgebra, phi: HomogeneousMap, order: int) -> bool:
-    """Whether phi satisfies every safe tuple constraint of the given order."""
-    matrix, index = build_constraints(alg, order, phi.gamma)
-    return not any(matrix.apply(index.encode(phi)))
+    """Whether phi satisfies every safe tuple constraint of the given order;
+    stops at the first row phi violates."""
+    index = UnknownIndex(alg, phi.gamma)
+    x = index.encode(phi)
+    for row in constraint_rows(index, order):
+        if sum(v * x[col] for col, v in row if col in x):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Result of comparing two solution spaces on an inner window."""
+    """Result of comparing two solution spaces on an inner window.
+
+    ``constraints`` counts the constraint rows examined per order: every
+    distinct row of the full walk at order 2, and at a higher order only the
+    rows read before the S₂ ⊆ S_N early stop, if it fired.
+    """
 
     algebra: str
     orders: tuple[int, int]
@@ -242,6 +285,33 @@ def _outer_radius(alg: GradedAlgebra) -> int:
     return max(abs(c) for d in alg.degree_set for c in d)
 
 
+def _solve_above_s2(
+    index: UnknownIndex, order: int, s2: SubspaceBasis
+) -> tuple[int, SubspaceBasis]:
+    """Rows examined and the canonical order-N nullspace on ``index``, given
+    the order-2 one, S₂ ⊆ S_N.
+
+    Rows are folded in as the walk yields them.  Once their rank reaches
+    cols − dim S₂, their nullspace is compared with S₂; if the two are equal,
+    the remaining rows cannot shrink it below S₂ ⊆ S_N, so the walk stops
+    there and S₂ is returned.  Otherwise every row is folded in.
+    """
+    ech = Echelon(len(index))
+    goal = len(index) - s2.dim
+
+    def certified() -> bool:
+        return ech.rank == goal and ech.nullspace() == s2
+
+    examined = 0
+    if certified():
+        return examined, s2
+    for row in constraint_rows(index, order):
+        examined += 1
+        if ech.add(row) and certified():
+            return examined, s2  # closing the walk frees its caches
+    return examined, ech.nullspace()
+
+
 def compare_orders(
     alg: GradedAlgebra,
     order1: int,
@@ -251,16 +321,25 @@ def compare_orders(
 ) -> ComparisonReport:
     """Solve both systems and compare their projections onto the inner window.
 
+    Every order-2 solution is an order-N solution (S₂ ⊆ S_N, by Leibniz), so
+    S₂ is solved in full once and lets each higher order stop its walk early
+    (see ``_solve_above_s2``).
+
     If the projected row spaces differ, a witness vector lying in exactly one
     of them is reported.
     """
+    if min(order1, order2) < 2:
+        raise ValueError("order must be >= 2")
     outer = _outer_radius(alg)
     if inner.max_abs > outer:
         raise ValueError("inner window exceeds the algebra window")
-    m1, index = build_constraints(alg, order1, gamma)
-    m2, _ = build_constraints(alg, order2, gamma)
-    basis1 = nullspace(m1)
-    basis2 = nullspace(m2)
+    m, index = build_constraints(alg, 2, gamma)
+    s2 = nullspace(m)
+    solved = {2: (m.num_rows, s2)}
+    for order in (order1, order2):
+        if order not in solved:
+            solved[order] = _solve_above_s2(index, order, s2)
+    (rows1, basis1), (rows2, basis2) = solved[order1], solved[order2]
     proj_cols = [
         col
         for col, (b, _bp) in enumerate(index.pairs)
@@ -291,7 +370,7 @@ def compare_orders(
         outer_max_abs=outer,
         inner_max_abs=inner.max_abs,
         unknowns=len(index),
-        constraints=(m1.num_rows, m2.num_rows),
+        constraints=(rows1, rows2),
         nullities=(basis1.dim, basis2.dim),
         projected_pairs=tuple(index.pairs[c] for c in proj_cols),
         dims=(p1.dim, p2.dim, intersection),

@@ -134,22 +134,35 @@ class SubspaceBasis:
         return len(self.vectors)
 
 
-def _rref_dicts(
-    rows: Iterable[Mapping[int, Rational] | Iterable[tuple[int, Rational]]],
-    num_cols: int,
-) -> tuple[list[dict[int, Rational]], list[int]]:
-    """Reduce int or Fraction rows (dicts or (column, value) pairs, no zero
-    values) to the unique RREF of their span, as pivot rows and pivots.
+class Echelon:
+    """Incremental Gauss-Jordan: the unique RREF of the rows added so far.
 
-    Rows are folded in one at a time against the reduced basis built so far,
+    Rows are int or Fraction rows (dicts or (column, value) pairs, no zero
+    values).  Each one is folded in against the reduced basis built so far,
     so dependent and repeated rows vanish cheaply instead of being dragged
-    through a full Gauss-Jordan sweep; no separate dedup pass is needed.  The
-    reduction stops early once every column is a pivot.
+    through a full sweep; no separate dedup pass is needed.  Once every
+    column is a pivot, further rows are not read.
     """
-    pivot_rows: dict[int, dict[int, Rational]] = {}
-    for row in rows:
-        if len(pivot_rows) == num_cols:
-            break  # further rows cannot add rank
+
+    def __init__(
+        self,
+        num_cols: int,
+        rows: Iterable[Mapping[int, Rational] | Iterable[tuple[int, Rational]]] = (),
+    ):
+        self.num_cols = num_cols
+        self._pivot_rows: dict[int, dict[int, Rational]] = {}
+        for row in rows:
+            self.add(row)
+
+    @property
+    def rank(self) -> int:
+        return len(self._pivot_rows)
+
+    def add(self, row: Mapping[int, Rational] | Iterable[tuple[int, Rational]]) -> bool:
+        """Fold one row in; True iff the rank grew."""
+        pivot_rows = self._pivot_rows
+        if len(pivot_rows) == self.num_cols:
+            return False  # further rows cannot add rank
         r = dict(row)
         # Clear every entry sitting at an existing pivot column.  Each pivot
         # row is zero at every other pivot column, so subtracting f·P_j
@@ -166,7 +179,7 @@ def _rref_dicts(
                 else:
                     del r[col]
         if not r:
-            continue
+            return False
         lead = min(r)
         f = r[lead]
         if f != 1:
@@ -182,25 +195,33 @@ def _rref_dicts(
                     else:
                         del q[j]
         pivot_rows[lead] = r
-    pivots = sorted(pivot_rows)
-    return [pivot_rows[p] for p in pivots], pivots
+        return True
+
+    def reduced(self) -> tuple[list[dict[int, Rational]], list[int]]:
+        """The canonical pivot rows, in pivot order, and their pivots."""
+        pivots = sorted(self._pivot_rows)
+        return [self._pivot_rows[p] for p in pivots], pivots
+
+    def nullspace(self) -> SubspaceBasis:
+        """Canonical nullspace basis: free variables set to 1 in increasing
+        column order."""
+        reduced, pivots = self.reduced()
+        vectors = []
+        for free in range(self.num_cols):
+            if free in self._pivot_rows:
+                continue
+            v: dict[int, Rational] = {free: Fraction(1)}
+            for row, p in zip(reduced, pivots):
+                c = row.get(free)
+                if c:
+                    v[p] = -c
+            vectors.append(SparseVector.from_dict(v))
+        return SubspaceBasis(self.num_cols, tuple(vectors))
 
 
 def nullspace(m: SparseMatrix) -> SubspaceBasis:
     """Canonical nullspace basis: free variables set to 1 in increasing column order."""
-    reduced, pivots = _rref_dicts((r.entries for r in m.rows), m.num_cols)
-    pivot_set = set(pivots)
-    vectors = []
-    for free in range(m.num_cols):
-        if free in pivot_set:
-            continue
-        v: dict[int, Rational] = {free: Fraction(1)}
-        for row, p in zip(reduced, pivots):
-            c = row.get(free)
-            if c:
-                v[p] = -c
-        vectors.append(SparseVector.from_dict(v))
-    return SubspaceBasis(m.num_cols, tuple(vectors))
+    return Echelon(m.num_cols, (r.entries for r in m.rows)).nullspace()
 
 
 def solve(m: SparseMatrix, b: SparseVector) -> Optional[SparseVector]:
@@ -219,7 +240,7 @@ def solve(m: SparseMatrix, b: SparseVector) -> Optional[SparseVector]:
         if r:
             d[aug] = r
         rows.append(d)
-    reduced, pivots = _rref_dicts(rows, m.num_cols + 1)
+    reduced, pivots = Echelon(m.num_cols + 1, rows).reduced()
     if pivots and pivots[-1] == aug:
         return None  # a pivot there is a row reading 0 = nonzero
     x: dict[int, Rational] = {}
@@ -231,16 +252,15 @@ def solve(m: SparseMatrix, b: SparseVector) -> Optional[SparseVector]:
 
 
 def _rank_of_rows(rows: Iterable[SparseVector], num_cols: int) -> int:
-    _, pivots = _rref_dicts((r.entries for r in rows), num_cols)
-    return len(pivots)
+    return Echelon(num_cols, (r.entries for r in rows)).rank
 
 
 def row_space_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:
     """True iff span(a) = span(b), decided by comparing their unique RREFs."""
     if a.dim_ambient != b.dim_ambient:
         raise ValueError("ambient dimension mismatch")
-    ra, _ = _rref_dicts((r.entries for r in a.vectors), a.dim_ambient)
-    rb, _ = _rref_dicts((r.entries for r in b.vectors), b.dim_ambient)
+    ra = Echelon(a.dim_ambient, (r.entries for r in a.vectors)).reduced()
+    rb = Echelon(b.dim_ambient, (r.entries for r in b.vectors)).reduced()
     return ra == rb
 
 
@@ -267,7 +287,7 @@ def project_basis(a: SubspaceBasis, coords: Sequence[int]) -> SubspaceBasis:
     for v in a.vectors:
         row = {position[i]: c for i, c in v.entries if i in position}
         projected.append(row)
-    reduced, _ = _rref_dicts(projected, len(coords))
+    reduced, _ = Echelon(len(coords), projected).reduced()
     return SubspaceBasis(
         len(coords), tuple(SparseVector.from_dict(r) for r in reduced)
     )

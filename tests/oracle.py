@@ -95,8 +95,9 @@ def dense_rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
-def oracle_nder_dim(alg: GradedAlgebra, order: int, gamma) -> int:
-    """Dimension of the order-N solution space by exhaustive dense assembly."""
+def oracle_rows(alg: GradedAlgebra, order: int, gamma) -> list[list[Fraction]]:
+    """Every nonzero order-N constraint row, dense over ``oracle_unknowns``,
+    one per safe tuple and target coordinate, from the raw stored constants."""
     gamma = tuple(gamma)
     pairs = oracle_unknowns(alg, gamma)
     col = {p: c for c, p in enumerate(pairs)}
@@ -133,7 +134,12 @@ def oracle_nder_dim(alg: GradedAlgebra, order: int, gamma) -> int:
                     row[c_idx] -= v
             if any(row):
                 rows.append(row)
-    return ncols - dense_rank(rows)
+    return rows
+
+
+def oracle_nder_dim(alg: GradedAlgebra, order: int, gamma) -> int:
+    """Dimension of the order-N solution space by exhaustive dense assembly."""
+    return len(oracle_unknowns(alg, gamma)) - dense_rank(oracle_rows(alg, order, gamma))
 
 
 def oracle_gammas(alg: GradedAlgebra) -> list[tuple[int, ...]]:

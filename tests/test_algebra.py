@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -269,6 +271,63 @@ class TestValidate:
         report = alg.validate()
         assert report.valid
         assert any(v.kind == "degree-zero" for v in report.warnings)
+
+
+def reference_jacobi(alg):
+    """Jacobi failures in i <= j <= k order, by the textbook triple loop on
+    the oracle's bracket; on a truncation only triples whose every bracket
+    stays inside the window."""
+    present = alg.degree_set
+    out = []
+    for i, j, k in combinations_with_replacement(range(alg.dim), 3):
+        di, dj, dk = (alg.degree_of(x) for x in (i, j, k))
+        sums = [(di, dj), (dj, dk), (di, dk), (di, dj, dk)]
+        if alg.truncated and not all(
+            tuple(map(sum, zip(*ds))) in present for ds in sums
+        ):
+            continue
+        total = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            inner = oracle.dense_bracket(alg, unit(b), unit(c))
+            for t, v in oracle.dense_bracket(alg, unit(a), inner).items():
+                total[t] = total.get(t, 0) + v
+        if any(total.values()):
+            out.append((i, j, k))
+    return out
+
+
+def corrupted(alg, rng):
+    """``alg`` with one structure constant doubled."""
+    brackets = dict(alg.brackets)
+    key = rng.choice(sorted(brackets))
+    (k, c), *rest = brackets[key]
+    brackets[key] = ((k, 2 * c), *rest)
+    return GradedAlgebra(
+        alg.name, alg.grading_dim, alg.basis, brackets, alg.cartan, alg.truncated
+    )
+
+
+_JACOBI_FAMILIES = {
+    "sv2": lambda: builders.build_sv(WindowSpec(2)),
+    "sv2-nocenter": lambda: builders.build_sv(WindowSpec(2), include_center=False),
+    "witt1_3": lambda: builders.build_witt(1, WindowSpec(3)),
+    "witt2_1": lambda: builders.build_witt(2, WindowSpec(1)),
+    "sl3": lambda: builders.build_sl(3),
+    "borel+3": lambda: builders.build_borel(3, "+"),
+    "sl2": lambda: builders.build_sl(2),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_JACOBI_FAMILIES))
+def test_jacobi_violations_match_reference(family):
+    alg = _JACOBI_FAMILIES[family]()
+    rng = random.Random(family)
+    failing = 0
+    for other in [alg] + [corrupted(alg, rng) for _ in range(3)]:
+        got = [v.indices for v in other.validate().violations if v.kind == "jacobi"]
+        assert got == reference_jacobi(other)
+        failing += bool(got)
+    assert failing  # a doubled constant breaks Jacobi somewhere
 
 
 class TestStructuralInvariants:

@@ -1,22 +1,27 @@
+import dataclasses
 import functools
 import gc
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gradedlie import builders
+from gradedlie import builders, derivations
 from gradedlie.algebra import BasisElement, GradedAlgebra
 from gradedlie.builders import WindowSpec
 from gradedlie.derivations import (
     HomogeneousMap,
     SearchBudget,
     UnknownIndex,
+    _outer_radius,
+    _solve_above_s2,
     build_constraints,
     check_property_p,
     compare_orders,
+    constraint_rows,
     decompose_homogeneous,
     domain_gammas,
     is_inner,
@@ -25,13 +30,15 @@ from gradedlie.derivations import (
     verify_property_witness,
 )
 from gradedlie.linalg import (
+    SparseMatrix,
+    SparseVector,
     SubspaceBasis,
     nullspace,
     row_space_equal,
     vector_in_span,
 )
 
-from oracle import oracle_gammas, oracle_nder_dim
+from oracle import oracle_gammas, oracle_nder_dim, oracle_rows, oracle_unknowns
 
 
 def unit(i):
@@ -155,17 +162,30 @@ def test_constraint_row_contract(family, c):
             assert values[0] > 0
 
 
+def _compare_exits_early(alg):
+    report = compare_orders(alg, 2, 4, (0,), WindowSpec(1))
+    full, _ = build_constraints(alg, 4, (0,))
+    assert report.constraints[1] < full.num_rows  # the walk was closed mid-way
+
+
 @pytest.mark.parametrize(
     "run",
     [
         lambda alg: build_constraints(alg, 3, (0,)),
         lambda alg: compare_orders(alg, 2, 3, (0,), WindowSpec(1)),
         lambda alg: solve_nder(alg, 4, (1,)),
+        _compare_exits_early,
     ],
-    ids=["build_constraints", "compare_orders", "solve_nder"],
+    ids=[
+        "build_constraints",
+        "compare_orders",
+        "solve_nder",
+        "compare_orders-early-exit",
+    ],
 )
 def test_walk_leaves_no_cyclic_garbage(sv2, run):
-    # everything a call allocates is freed by reference counting on return
+    # everything a call allocates is freed by reference counting on return,
+    # also when the consumer stops the row walk early
     gc.collect()
     gc.disable()
     try:
@@ -173,6 +193,181 @@ def test_walk_leaves_no_cyclic_garbage(sv2, run):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def primitive(dense_row) -> tuple[tuple[int, int], ...]:
+    """A dense Fraction row as a primitive integer row: sparse, gcd 1, lead
+    entry positive."""
+    entries = [(c, v) for c, v in enumerate(dense_row) if v]
+    den = math.lcm(*(v.denominator for _, v in entries))
+    ints = [(c, int(v * den)) for c, v in entries]
+    g = math.gcd(*(v for _, v in ints))
+    if ints[0][1] < 0:
+        g = -g
+    return tuple((c, v // g) for c, v in ints)
+
+
+_ORACLE_ROW_FAMILIES = {
+    "K": (builders.build_counterexample_k, (2, 3, 4)),
+    "sl2": (lambda: builders.build_sl(2), (2, 3, 4)),
+    "sl3": (lambda: builders.build_sl(3), (2, 3)),
+    "sv1": (lambda: builders.build_sv(WindowSpec(1)), (2, 3)),
+    "witt1_1": (lambda: builders.build_witt(1, WindowSpec(1)), (2, 3, 4)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_ORACLE_ROW_FAMILIES))
+def test_pruned_walk_yields_the_oracle_rows(family):
+    # The walk skips mirrored innermost pairs; what it yields must still be
+    # every distinct primitive row of the oracle's unpruned dense assembly,
+    # each exactly once.
+    build, orders = _ORACLE_ROW_FAMILIES[family]
+    alg = build()
+    for gamma in domain_gammas(alg):
+        index = UnknownIndex(alg, gamma)
+        assert list(index.pairs) == oracle_unknowns(alg, gamma)
+        for order in orders:
+            rows = list(constraint_rows(index, order))
+            assert len(rows) == len(set(rows)), (order, gamma)
+            want = {primitive(r) for r in oracle_rows(alg, order, gamma)}
+            assert set(rows) == want, (order, gamma)
+
+
+def _full_path(index, order, s2):
+    """Rows and canonical nullspace of the whole order-N walk, ignoring S₂."""
+    rows = tuple(map(SparseVector, constraint_rows(index, order)))
+    return len(rows), nullspace(SparseMatrix(len(index), rows))
+
+
+def check_certified_path(alg, pairs, gamma, inner):
+    """compare_orders with the S₂ early exit gives the full walk's nullities,
+    dims, verdicts and witnesses, and each order's basis is the full walk's;
+    returns the reports with and without the exit."""
+    index = UnknownIndex(alg, gamma)
+    s2 = solve_nder(alg, 2, gamma)
+    orders = {n for pair in pairs for n in pair} - {2}
+    full = {n: _full_path(index, n, s2) for n in orders}
+    for n in orders:
+        examined, basis = _solve_above_s2(index, n, s2)
+        assert basis == full[n][1], (n, gamma)
+        assert examined <= full[n][0], (n, gamma)
+    out = []
+    for n1, n2 in pairs:
+        got = compare_orders(alg, n1, n2, gamma, inner)
+        with mock.patch.object(
+            derivations, "_solve_above_s2", lambda index, n, s2: full[n]
+        ):
+            want = compare_orders(alg, n1, n2, gamma, inner)
+        assert dataclasses.replace(got, constraints=None) == dataclasses.replace(
+            want, constraints=None
+        ), (n1, n2, gamma)
+        out.append((got, want))
+    return out
+
+
+_FIXED_FAMILIES = {
+    "K": builders.build_counterexample_k,
+    "sl3": lambda: builders.build_sl(3),
+    "sl4": lambda: builders.build_sl(4),
+    "borel+": lambda: builders.build_borel(3, "+"),
+    "sv3-nocenter": lambda: builders.build_sv(WindowSpec(3), include_center=False),
+    "witt1_4": lambda: builders.build_witt(1, WindowSpec(4)),
+}
+_LOW_PAIRS = ((2, 3), (2, 4), (3, 4))
+_ORDER5_PAIRS = ((3, 5), (2, 5))
+
+
+@pytest.mark.parametrize("family", sorted(_FIXED_FAMILIES))
+def test_certified_exit_matches_full_walk(family):
+    alg = _FIXED_FAMILIES[family]()
+    inner = WindowSpec(max(_outer_radius(alg) // 2, 1))
+    gammas = domain_gammas(alg)
+    # The order-5 full walk takes seconds per shift on the two largest
+    # algebras, so there it runs at the zero shift and its neighbour only.
+    slow = alg.dim > 12
+    fired = 0
+    for gamma in gammas:
+        pairs = _LOW_PAIRS
+        if not slow or gamma in gammas[len(gammas) // 2 :][:2]:
+            pairs += _ORDER5_PAIRS
+        for got, want in check_certified_path(alg, pairs, gamma, inner):
+            fired += got.constraints != want.constraints
+            if not got.equal:  # an unequal verdict needs the whole walk
+                assert got.constraints == want.constraints
+    assert fired or family == "K"
+
+
+@pytest.mark.parametrize("order", [3, 5])
+def test_k_odd_orders_walk_to_the_end(k_alg, order):
+    # S_N is larger than S₂ here, so the rank never reaches cols − dim S₂
+    ((got, want),) = check_certified_path(k_alg, [(2, order)], (-2,), WindowSpec(1))
+    assert not got.equal and got.nullities == (0, 1)
+    assert got.constraints == want.constraints == (
+        build_constraints(k_alg, 2, (-2,))[0].num_rows,
+        build_constraints(k_alg, order, (-2,))[0].num_rows,
+    )
+
+
+_SMALL_FAMILIES = {
+    "sv1": lambda: builders.build_sv(WindowSpec(1)),
+    "sv2": lambda: builders.build_sv(WindowSpec(2)),
+    "sv2-nocenter": lambda: builders.build_sv(WindowSpec(2), include_center=False),
+    "witt1_2": lambda: builders.build_witt(1, WindowSpec(2)),
+    "witt2_1": lambda: builders.build_witt(2, WindowSpec(1)),
+    "sl2": lambda: builders.build_sl(2),
+    "sl3": lambda: builders.build_sl(3),
+    "borel+2": lambda: builders.build_borel(2, "+"),
+    "borel-3": lambda: builders.build_borel(3, "-"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _small(family):
+    return _SMALL_FAMILIES[family]()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_certified_exit_matches_full_walk_on_small_algebras(data):
+    alg = _small(data.draw(st.sampled_from(sorted(_SMALL_FAMILIES))))
+    gamma = data.draw(st.sampled_from(domain_gammas(alg)))
+    orders = st.integers(min_value=2, max_value=4)
+    pair = (data.draw(orders), data.draw(orders))
+    inner = WindowSpec(data.draw(st.integers(1, _outer_radius(alg))))
+    check_certified_path(alg, [pair], gamma, inner)
+
+
+def test_certified_exit_examines_few_rows():
+    # Of a mirrored innermost pair the walk keeps the tuple with the smaller
+    # element innermost, which it meets first, so rows of every innermost
+    # element come early.  Skipping the other orientation examined 2,244
+    # rows here instead of 993.
+    alg = builders.build_sv(WindowSpec(3))
+    examined = 0
+    for g in range(-3, 4):
+        for order in (3, 4):
+            report = compare_orders(alg, 2, order, (g,), WindowSpec(3))
+            examined += report.constraints[1]
+    assert examined < 1200
+
+
+def test_wrong_s2_falls_back_to_the_full_walk(sv2):
+    index = UnknownIndex(sv2, (0,))
+    s2 = solve_nder(sv2, 2, (0,))
+    full = _full_path(index, 4, s2)
+    examined, basis = _solve_above_s2(index, 4, s2)
+    assert basis == full[1] and examined < full[0]  # the exit fires on S₂
+    cols = len(index)
+    units = tuple(SparseVector(((c, Fraction(1)),)) for c in range(cols))
+    outside = next(u for u in units if not vector_in_span(u, s2))
+    wrong = [
+        SubspaceBasis(cols, units[: s2.dim]),  # right dimension, wrong space
+        SubspaceBasis(cols, s2.vectors[1:]),  # too small: the goal is never met
+        SubspaceBasis(cols, s2.vectors + (outside,)),  # too large: met early
+    ]
+    for w in wrong:
+        assert w != s2
+        assert _solve_above_s2(index, 4, w) == full
 
 
 _RESCALES = tuple(Fraction(c) for c in (1, -1, 2, -2, "1/2", "-1/2"))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracle import dense_rank
 from gradedlie.linalg import (
-    _rref_dicts,
+    Echelon,
     SparseMatrix,
     SparseVector,
     SubspaceBasis,
@@ -75,7 +75,7 @@ class TestSparseTypes:
 
 def rref(m: SparseMatrix):
     """Rank and reduced rows of ``m`` from the solver's elimination."""
-    reduced, pivots = _rref_dicts((r.entries for r in m.rows), m.num_cols)
+    reduced, pivots = Echelon(m.num_cols, (r.entries for r in m.rows)).reduced()
     return len(pivots), SparseMatrix.from_rows(m.num_cols, reduced)
 
 
@@ -277,10 +277,11 @@ class TestIntegerRows:
 
     def test_pivot_division_is_exact(self):
         m = SparseMatrix(4, tuple(map(SparseVector, self.ROWS)))
-        reduced, pivots = _rref_dicts((r.entries for r in m.rows), m.num_cols)
+        reduced, pivots = Echelon(m.num_cols, (r.entries for r in m.rows)).reduced()
         assert pivots == [0, 1, 2]
         assert all(type(v) is Fraction for row in reduced for v in row.values())
-        want, _ = _rref_dicts((r.entries for r in as_fractions(m).rows), m.num_cols)
+        rows = (r.entries for r in as_fractions(m).rows)
+        want, _ = Echelon(m.num_cols, rows).reduced()
         assert reduced == want
         assert reduced[0] == {0: 1, 3: Fraction(-163, 30)}
 
@@ -296,7 +297,7 @@ class TestIntegerRows:
 def check_rref_invariant(m: SparseMatrix) -> None:
     """Every pivot row has lead 1 at its pivot and is zero at every other
     pivot column: the property that lets one sweep clear a new row."""
-    reduced, pivots = _rref_dicts((r.entries for r in m.rows), m.num_cols)
+    reduced, pivots = Echelon(m.num_cols, (r.entries for r in m.rows)).reduced()
     assert pivots == sorted(set(pivots))
     assert len(pivots) == dense_rank(
         [[row.get(c) for c in range(m.num_cols)] for row in m.rows]
@@ -312,3 +313,23 @@ def check_rref_invariant(m: SparseMatrix) -> None:
 def test_rref_invariant(seed, ints):
     rng = random.Random(seed)
     check_rref_invariant(int_matrix(rng, 8, 7) if ints else random_matrix(rng, 8, 7))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def test_echelon_is_incremental(seed, ints):
+    # after every add: the rank of the rows so far, True exactly when it grew,
+    # and a nullspace that every row so far annihilates
+    rng = random.Random(seed)
+    m = int_matrix(rng, 8, 7) if ints else random_matrix(rng, 8, 7)
+    ech = Echelon(m.num_cols)
+    for i, row in enumerate(m.rows):
+        before = ech.rank
+        grew = ech.add(row.entries)
+        prefix = SparseMatrix(m.num_cols, m.rows[: i + 1])
+        assert ech.rank == dense_rank(as_lists(prefix))
+        assert grew == (ech.rank == before + 1)
+        basis = ech.nullspace()
+        assert basis.dim == m.num_cols - ech.rank
+        for v in basis.vectors:
+            assert not any(prefix.apply(v.to_dict()))
