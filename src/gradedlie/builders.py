@@ -29,6 +29,18 @@ class ParseError(Exception):
     """Malformed algebra file."""
 
 
+# The largest basis a built-in family is built with.  witt d=3 M=3 (1,029
+# elements) fits and peaks at about 0.7 GB while building; the bracket table
+# grows with the square of the basis size.
+MAX_BASIS_SIZE = 1100
+
+
+def _check_size(name: str, size: int) -> None:
+    """Refuse a build whose basis size, worked out beforehand, is too large."""
+    if size > MAX_BASIS_SIZE:
+        raise ValueError(f"{name}: more than {MAX_BASIS_SIZE} basis elements")
+
+
 @dataclass(frozen=True)
 class WindowSpec:
     """Truncation radius, applied per grading coordinate."""
@@ -85,6 +97,7 @@ class _Builder:
 def build_sv(window: WindowSpec, include_center: bool = True) -> GradedAlgebra:
     """Truncated Schrodinger-Virasoro algebra on the index window |n| <= max_abs."""
     m = window.max_abs
+    _check_size("sv", 6 * m + 2 + include_center)
     b = _Builder(1)
     l_idx = {n: b.add(f"L_{n}", (2 * n,)) for n in range(-m, m + 1)}
     m_idx = {n: b.add(f"M_{n}", (2 * n,)) for n in range(-m, m + 1)}
@@ -132,6 +145,12 @@ def build_witt(d: int, window: WindowSpec) -> GradedAlgebra:
     if d < 1:
         raise ValueError("d must be >= 1")
     m = window.max_abs
+    size = d
+    for _ in range(d):  # (2m+1)^d · d, stopping once it is past the limit
+        if size > MAX_BASIS_SIZE:
+            break
+        size *= 2 * m + 1
+    _check_size("witt", size)
     b = _Builder(d)
     idx: dict[tuple[Degree, int], int] = {}
     for vec in itertools.product(range(-m, m + 1), repeat=d):
@@ -232,6 +251,7 @@ def build_sl(n: int) -> GradedAlgebra:
     """The trace-zero matrix algebra, graded over simple-root coordinates."""
     if n < 2:
         raise ValueError("n must be >= 2")
+    _check_size("sl", n * n - 1)
     return _matrix_algebra(f"sl_{n}", n, _sl_matrices(n))
 
 
@@ -241,6 +261,7 @@ def build_borel(n: int, sign: str = "+") -> GradedAlgebra:
         raise ValueError("sign must be '+' or '-'")
     if n < 2:
         raise ValueError("n must be >= 2")
+    _check_size("borel", n * (n + 1) // 2 - 1)
     keep = []
     for label, deg, mat in _sl_matrices(n):
         if label.startswith("H_"):
@@ -311,6 +332,8 @@ def load(data: bytes) -> GradedAlgebra:
         doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("not valid JSON: nested too deeply") from exc
     _expect_keys(doc, _TOP_KEYS, "top level")
     name = doc["name"]
     gd = doc["grading_dim"]
@@ -335,10 +358,12 @@ def load(data: bytes) -> GradedAlgebra:
             raise ParseError(f"basis[{pos}]: degree must be {gd} integers")
         basis.append(BasisElement(pos, label, tuple(degree)))
     cartan = doc["cartan"]
-    if not isinstance(cartan, list) or cartan != sorted(set(cartan)):
+    if not isinstance(cartan, list) or not all(type(h) is int for h in cartan):
+        raise ParseError("cartan must be a list of integer indices")
+    if cartan != sorted(set(cartan)):
         raise ParseError("cartan must be a sorted list of distinct indices")
     for h in cartan:
-        if type(h) is not int or not 0 <= h < len(basis):
+        if not 0 <= h < len(basis):
             raise ParseError(f"cartan index {h} out of range")
     if not isinstance(doc["brackets"], list):
         raise ParseError("brackets must be a list")

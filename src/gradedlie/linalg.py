@@ -1,9 +1,11 @@
 """Exact sparse linear algebra over the rationals.
 
-Rows may carry ``int`` or ``fractions.Fraction`` values; the only division in
-elimination is ``Fraction(v, f)``, so every result is an exact ``Fraction``.
-Elimination is plain Gauss-Jordan with a fixed pivot rule, so every result is
-deterministic and the reduced row-echelon form is the unique one.
+Rows may carry ``int`` or ``fractions.Fraction`` values.  Elimination is
+fraction-free Gauss-Jordan with a fixed pivot rule: rows stay primitive
+``int`` rows throughout, and ``Fraction`` first appears when the reduced
+row-echelon form is read out, one division per entry, so every result is an
+exact ``Fraction``.  Every result is deterministic and the reduced
+row-echelon form is the unique one.
 """
 
 from __future__ import annotations
@@ -135,13 +137,18 @@ class SubspaceBasis:
 
 
 class Echelon:
-    """Incremental Gauss-Jordan: the unique RREF of the rows added so far.
+    """Incremental fraction-free Gauss-Jordan: the unique RREF of the rows
+    added so far.
 
     Rows are int or Fraction rows (dicts or (column, value) pairs, no zero
-    values).  Each one is folded in against the reduced basis built so far,
-    so dependent and repeated rows vanish cheaply instead of being dragged
-    through a full sweep; no separate dedup pass is needed.  Once every
-    column is a pivot, further rows are not read.
+    values); a Fraction row is first scaled by the lcm of its denominators.
+    Each pivot row is kept as the primitive integer multiple of its RREF row:
+    Python ints with gcd 1, a positive pivot entry and zeros at every other
+    pivot column.  A new row is folded in against those rows, so dependent
+    and repeated rows vanish cheaply instead of being dragged through a full
+    sweep; no separate dedup pass is needed.  Once every column is a pivot,
+    further rows are not read.  ``reduced`` and ``nullspace`` divide by the
+    pivot entries, the only division and the only place a Fraction is built.
     """
 
     def __init__(
@@ -150,7 +157,7 @@ class Echelon:
         rows: Iterable[Mapping[int, Rational] | Iterable[tuple[int, Rational]]] = (),
     ):
         self.num_cols = num_cols
-        self._pivot_rows: dict[int, dict[int, Rational]] = {}
+        self._pivot_rows: dict[int, dict[int, int]] = {}
         for row in rows:
             self.add(row)
 
@@ -164,43 +171,33 @@ class Echelon:
         if len(pivot_rows) == self.num_cols:
             return False  # further rows cannot add rank
         r = dict(row)
+        if any(type(v) is not int for v in r.values()):
+            den = math.lcm(*[v.denominator for v in r.values()])
+            r = {j: v.numerator * (den // v.denominator) for j, v in r.items()}
         # Clear every entry sitting at an existing pivot column.  Each pivot
-        # row is zero at every other pivot column, so subtracting f·P_j
-        # writes only column j and free columns: one sweep suffices.
+        # row is zero at every other pivot column, so clearing one writes
+        # only column j and free columns: one sweep suffices.
         for j in [j for j in r if j in pivot_rows]:
-            f = r.pop(j)
-            for col, v in pivot_rows[j].items():
-                if col == j:
-                    continue
-                nv = r.get(col)
-                nv = -f * v if nv is None else nv - f * v
-                if nv:
-                    r[col] = nv
-                else:
-                    del r[col]
+            _eliminate(r, r.pop(j), pivot_rows[j], j)
         if not r:
             return False
         lead = min(r)
-        f = r[lead]
-        if f != 1:
-            r = {j: Fraction(v, f) for j, v in r.items()}
-        for q in pivot_rows.values():
-            g = q.get(lead)
-            if g:
-                for j, v in r.items():
-                    nv = q.get(j)
-                    nv = -g * v if nv is None else nv - g * v
-                    if nv:
-                        q[j] = nv
-                    else:
-                        del q[j]
+        _make_primitive(r, lead)
+        for j, q in pivot_rows.items():
+            h = q.pop(lead, None)
+            if h:
+                _eliminate(q, h, r, lead)
+                _make_primitive(q, j)
         pivot_rows[lead] = r
         return True
 
     def reduced(self) -> tuple[list[dict[int, Rational]], list[int]]:
         """The canonical pivot rows, in pivot order, and their pivots."""
         pivots = sorted(self._pivot_rows)
-        return [self._pivot_rows[p] for p in pivots], pivots
+        rows = [self._pivot_rows[p] for p in pivots]
+        return [
+            {j: Fraction(v, q[p]) for j, v in q.items()} for q, p in zip(rows, pivots)
+        ], pivots
 
     def nullspace(self) -> SubspaceBasis:
         """Canonical nullspace basis: free variables set to 1 in increasing
@@ -217,6 +214,37 @@ class Echelon:
                     v[p] = -c
             vectors.append(SparseVector.from_dict(v))
         return SubspaceBasis(self.num_cols, tuple(vectors))
+
+
+def _eliminate(r: dict[int, int], f: int, q: dict[int, int], j: int) -> None:
+    """Cancel the entry f that ``r`` had at column j, already popped from it:
+    r <- (p/g)·r - (f/g)·q, where p = q[j] and g = gcd(p, f).  Zeros are
+    dropped."""
+    p = q[j]
+    if p != 1:
+        g = math.gcd(p, f)
+        f //= g
+        if g != p:
+            a = p // g
+            for k in r:
+                r[k] *= a
+    for col, v in q.items():
+        if col != j:
+            nv = r.get(col, 0) - f * v
+            if nv:
+                r[col] = nv
+            else:
+                del r[col]
+
+
+def _make_primitive(r: dict[int, int], lead: int) -> None:
+    """Divide ``r`` by the gcd of its entries, signed so that r[lead] > 0."""
+    g = math.gcd(*r.values())
+    if r[lead] < 0:
+        g = -g
+    if g != 1:
+        for k in r:
+            r[k] //= g
 
 
 def nullspace(m: SparseMatrix) -> SubspaceBasis:
@@ -267,9 +295,8 @@ def row_space_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:
 def vector_in_span(v: SparseVector, basis: SubspaceBasis) -> bool:
     if v.max_index() >= basis.dim_ambient:
         raise ValueError("vector index out of range")
-    r = _rank_of_rows(basis.vectors, basis.dim_ambient)
-    rs = _rank_of_rows(basis.vectors + (v,), basis.dim_ambient)
-    return r == rs
+    ech = Echelon(basis.dim_ambient, (r.entries for r in basis.vectors))
+    return not ech.add(v.entries)
 
 
 def project_basis(a: SubspaceBasis, coords: Sequence[int]) -> SubspaceBasis:

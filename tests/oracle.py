@@ -95,6 +95,28 @@ def dense_rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
+def dense_rref(rows: list[list], cols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Textbook Gauss-Jordan over ``Fraction``: the nonzero rows of the
+    reduced row-echelon form, each divided by its pivot entry, and their
+    pivot columns."""
+    rows = [[Fraction(v) for v in r] for r in rows]
+    pivots: list[int] = []
+    for c in range(cols):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        lead = rows[rank][c]
+        rows[rank] = [v / lead for v in rows[rank]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != rank and f:
+                rows[i] = [a - f * b for a, b in zip(row, rows[rank])]
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
+
+
 def oracle_rows(alg: GradedAlgebra, order: int, gamma) -> list[list[Fraction]]:
     """Every nonzero order-N constraint row, dense over ``oracle_unknowns``,
     one per safe tuple and target coordinate, from the raw stored constants."""

@@ -344,6 +344,32 @@ class TestSaveLoad:
             load(json.dumps(doc).encode())
 
 
+class TestSizeGuard:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_sv(WindowSpec(2)),
+            lambda: build_sv(WindowSpec(2), include_center=False),
+            lambda: build_witt(1, WindowSpec(3)),
+            lambda: build_witt(2, WindowSpec(1)),
+            lambda: build_sl(3),
+            lambda: build_borel(3, "-"),
+        ],
+        ids=["sv", "sv-nocenter", "witt-d1", "witt-d2", "sl", "borel"],
+    )
+    def test_limit_meets_the_exact_basis_size(self, monkeypatch, build):
+        # the size is worked out from the arguments before building
+        dim = build().dim
+        monkeypatch.setattr(builders, "MAX_BASIS_SIZE", dim - 1)
+        with pytest.raises(ValueError, match="basis elements"):
+            build()
+        monkeypatch.setattr(builders, "MAX_BASIS_SIZE", dim)
+        assert build().dim == dim
+
+    def test_witt_d3_m3_is_within_the_limit(self):
+        assert 3 * 7**3 <= builders.MAX_BASIS_SIZE < 4 * 7**4
+
+
 class TestBuilderValidity:
     def test_everything_validates_empty(self):
         algs = [

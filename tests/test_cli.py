@@ -1,8 +1,15 @@
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gradedlie import builders
 from gradedlie.cli import main
+
+_SL2_DOC = json.loads(builders.save(builders.build_sl(2)))
 
 
 def run(capsys, *args):
@@ -82,6 +89,28 @@ class TestBuiltinAndCheck:
         bad.write_text("{")
         code, _, err = run(capsys, "check", str(bad))
         assert code == 2 and "parse error" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            json.dumps(dict(_SL2_DOC, cartan=c)) for c in ([1, "a"], [[1]])
+        ]
+        + ["[" * 100_000 + "]" * 100_000],
+        ids=["cartan-string", "cartan-nested", "nested-too-deeply"],
+    )
+    def test_check_malformed_file(self, capsys, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code, out, err = run(capsys, "check", str(bad))
+        assert code == 2 and not out
+        assert err.startswith("parse error: ") and err.count("\n") == 1
+
+    def test_builtin_refuses_an_oversized_basis(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(builders, "MAX_BASIS_SIZE", 10)
+        path = tmp_path / "sv.json"
+        code, out, err = run(capsys, "builtin", "sv", "--max", "2", "-o", str(path))
+        assert code == 2 and not out and not path.exists()
+        assert err == "error: sv: more than 10 basis elements\n"
 
     def test_check_text_lists_violations_with_indices(self, capsys, tmp_path, sv2_file):
         doc = json.loads(open(sv2_file).read())
@@ -319,3 +348,67 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+
+_KEYS = st.sampled_from(sorted(set(_SL2_DOC) | {"label", "degree", "i", "j", "k", "c"}))
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 5)
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from(["1", "-1/2", "2/4", "1/0", "sl_2", "E(1,2)"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_KEYS | st.text(max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+def _mutate(doc, data):
+    """One random edit: replace, delete, wrap in a list, or add a key."""
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    op = data.draw(st.sampled_from(["replace", "delete", "nest", "extra"]))
+    if not path:
+        return data.draw(_JSON) if op == "replace" else [doc]
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if op == "replace":
+        parent[key] = data.draw(_JSON)
+    elif op == "delete":
+        del parent[key]
+    elif op == "nest":
+        parent[key] = [parent[key]]
+    elif isinstance(parent[key], dict):
+        parent[key][data.draw(_KEYS)] = data.draw(_JSON)
+    else:
+        parent[key] = {data.draw(_KEYS): parent[key]}
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fuzzed_algebra_file_fails_cleanly(tmp_path_factory, data):
+    # wrong types, booleans, nested lists, missing and extra keys: every
+    # outcome is an exit code with at most one line on stderr
+    doc = copy.deepcopy(_SL2_DOC)
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = _mutate(doc, data)
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", str(path)])
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()

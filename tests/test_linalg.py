@@ -1,10 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import dense_rank
+from oracle import dense_rank, dense_rref
+from gradedlie import linalg
 from gradedlie.linalg import (
     Echelon,
     SparseMatrix,
@@ -333,3 +335,87 @@ def test_echelon_is_incremental(seed, ints):
         assert basis.dim == m.num_cols - ech.rank
         for v in basis.vectors:
             assert not any(prefix.apply(v.to_dict()))
+
+
+# Entries mix zeros and small values, so rows are often dependent, with
+# integers of 64 bits and more and denominators above 2**32.
+_SMALL = st.integers(-4, 4)
+_INTS = st.one_of(st.just(0), _SMALL, _SMALL, st.integers(-(2**90), 2**90))
+_FRACTIONS = st.builds(
+    Fraction, _INTS, st.one_of(st.integers(1, 6), st.integers(2**32 + 1, 2**70))
+)
+
+
+def dense_matrices(values):
+    """(cols, rows): up to 8 dense rows over 1..7 columns."""
+    return st.integers(1, 7).flatmap(
+        lambda cols: st.tuples(
+            st.just(cols),
+            st.lists(st.lists(values, min_size=cols, max_size=cols), max_size=8),
+        )
+    )
+
+
+def sparse(row):
+    return {c: v for c, v in enumerate(row) if v}
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_matrices(_INTS) | dense_matrices(_INTS | _FRACTIONS))
+def test_pivot_rows_stay_primitive_integers(m):
+    # after every add, each stored pivot row is all int, has gcd 1 and a
+    # positive pivot entry, and is zero at every other pivot column
+    cols, rows = m
+    ech = Echelon(cols)
+    for row in rows:
+        ech.add(sparse(row))
+        stored = ech._pivot_rows
+        for p, q in stored.items():
+            values = list(q.values())
+            assert all(type(v) is int and v for v in values)
+            assert math.gcd(*values) == 1 and q[p] > 0 and min(q) == p
+            assert not any(j in q for j in stored if j != p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_matrices(_INTS) | dense_matrices(_INTS | _FRACTIONS))
+def test_echelon_matches_textbook_gauss_jordan(m):
+    cols, rows = m
+    ech = Echelon(cols, map(sparse, rows))
+    want, want_pivots = dense_rref(rows, cols)
+    reduced, pivots = ech.reduced()
+    assert pivots == want_pivots and ech.rank == dense_rank(rows)
+    assert all(type(v) is Fraction for r in reduced for v in r.values())
+    assert [[r.get(c, 0) for c in range(cols)] for r in reduced] == want
+    # the canonical nullspace: each free column set to 1 in turn
+    null = []
+    for free in range(cols):
+        if free not in pivots:
+            v = {free: 1}
+            v.update((p, -r[free]) for r, p in zip(want, pivots) if r[free])
+            null.append(v)
+    assert [v.to_dict() for v in ech.nullspace().vectors] == null
+
+
+def test_cancel_keeps_the_working_row_small(monkeypatch):
+    # Pivot rows with ~2**40 pivot entries, and a row hitting each pivot with
+    # a multiple of it.  Dividing out g = gcd(p, f) makes every clear
+    # r <- r - c·q_j, so no entry of the working row passes 64 bits; the
+    # uncancelled r <- p·r - f·q_j would multiply it by ~2**40 per pivot,
+    # past 300 bits after eight.
+    rng = random.Random(7)
+    big = [2**40 + 2 * rng.randrange(2**30) + 1 for _ in range(8)]
+    ech = Echelon(10, ({j: p, 8: 1, 9: j + 1} for j, p in enumerate(big)))
+    widths = []
+    eliminate = linalg._eliminate
+
+    def recording(r, f, q, j):
+        eliminate(r, f, q, j)
+        widths.append(max((abs(v).bit_length() for v in r.values()), default=0))
+
+    monkeypatch.setattr(linalg, "_eliminate", recording)
+    row = {j: (j + 2) * p for j, p in enumerate(big)}
+    row.update({8: 1, 9: -1})
+    assert ech.add(row)
+    # eight clears, then eight back-eliminations of the new pivot at column 8
+    assert len(widths) == 16 and max(widths) <= 64
