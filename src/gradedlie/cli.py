@@ -37,18 +37,8 @@ from .derivations import (
 )
 from .linalg import format_rational, nullspace, parse_rational
 
-_RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
-
-
 class UsageError(Exception):
     pass
-
-
-def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise UsageError(f"bad {what}: {text!r}") from None
 
 
 def _element_json(alg: GradedAlgebra, x: Element) -> list[list[str]]:
@@ -101,43 +91,7 @@ def _validation_text(doc: dict) -> list[str]:
 
 
 def _cmd_builtin(args) -> int:
-    kind = args.kind
-    allowed = {
-        "sv": {"max", "no_center"},
-        "witt": {"max", "d"},
-        "sl": {"n"},
-        "borel": {"n", "sign"},
-        "K": set(),
-    }[kind]
-    provided = {
-        "max": args.max,
-        "d": args.d,
-        "n": args.n,
-        "sign": args.sign,
-        "no_center": args.no_center or None,
-    }
-    for flag, value in provided.items():
-        if value is not None and flag not in allowed:
-            raise UsageError(f"--{flag.replace('_', '-')} does not apply to {kind}")
-    if kind == "sv":
-        alg = builders.build_sv(
-            WindowSpec(args.max if args.max is not None else 2),
-            include_center=not args.no_center,
-        )
-    elif kind == "witt":
-        alg = builders.build_witt(
-            args.d if args.d is not None else 1,
-            WindowSpec(args.max if args.max is not None else 2),
-        )
-    elif kind == "sl":
-        alg = builders.build_sl(args.n if args.n is not None else 2)
-    elif kind == "borel":
-        alg = builders.build_borel(
-            args.n if args.n is not None else 2,
-            args.sign if args.sign is not None else "+",
-        )
-    else:
-        alg = builders.build_counterexample_k()
+    alg = args.build(args)
     try:
         with open(args.output, "wb") as fh:
             fh.write(builders.save(alg))
@@ -165,21 +119,12 @@ def _gamma_values(args, alg: GradedAlgebra) -> list[tuple[int, ...]]:
     if getattr(args, "gamma_range", None) is not None:
         if alg.grading_dim != 1:
             raise UsageError("--gamma-range needs a 1-dimensional grading")
-        m = _RANGE_RE.match(args.gamma_range)
-        if not m:
-            raise UsageError(f"bad --gamma-range: {args.gamma_range!r}")
-        lo, hi = int(m.group(1)), int(m.group(2))
-        if lo > hi:
-            raise UsageError("--gamma-range bounds out of order")
-        return [(g,) for g in range(lo, hi + 1)]
-    if args.gamma is None:
-        raise UsageError("one of --gamma / --gamma-range is required")
-    gamma = _parse_int_list(args.gamma, "--gamma")
-    if len(gamma) != alg.grading_dim:
+        return [(g,) for g in args.gamma_range]
+    if len(args.gamma) != alg.grading_dim:
         raise UsageError(
-            f"gamma must have {alg.grading_dim} components, got {len(gamma)}"
+            f"gamma must have {alg.grading_dim} components, got {len(args.gamma)}"
         )
-    return [gamma]
+    return [args.gamma]
 
 
 def _cmd_solve(args) -> int:
@@ -268,9 +213,6 @@ def _comparison_text(doc: dict) -> list[str]:
 
 def _cmd_compare(args) -> int:
     alg = _load_algebra(args.file)
-    orders = _parse_int_list(args.orders, "--orders")
-    if len(orders) != 2 or min(orders) < 2:
-        raise UsageError("--orders must be two integers >= 2")
     gammas = _gamma_values(args, alg)
     outer = _outer_radius(alg)
     if args.buffer is None:
@@ -280,7 +222,7 @@ def _cmd_compare(args) -> int:
             raise UsageError("--buffer must satisfy 0 <= buffer < window radius")
         inner = WindowSpec(outer - args.buffer)
     reports = [
-        compare_orders(alg, orders[0], orders[1], gamma, inner) for gamma in gammas
+        compare_orders(alg, *args.orders, gamma, inner) for gamma in gammas
     ]
     docs = [_comparison_doc(alg, r) for r in reports]
     all_equal = all(r.equal for r in reports)
@@ -289,7 +231,7 @@ def _cmd_compare(args) -> int:
     else:
         doc = {
             "algebra": alg.name,
-            "orders": list(orders),
+            "orders": list(args.orders),
             "all_equal": all_equal,
             "reports": docs,
         }
@@ -326,7 +268,7 @@ def _cmd_propp(args) -> int:
             indices = [alg.index_of(args.element)]
         except KeyError as exc:
             raise UsageError(exc.args[0]) from None
-    elif args.all_basis:
+    else:
         zero = alg.zero_degree()
         indices = [
             b
@@ -334,8 +276,6 @@ def _cmd_propp(args) -> int:
             if alg.degree_of(b) != zero
             and negate_degree(alg.degree_of(b)) in alg.degree_set
         ]
-    else:
-        raise UsageError("one of --element / --all-basis is required")
     results = []
     for b in indices:
         w = check_property_p(alg, alg.unit(b), budget)
@@ -366,6 +306,8 @@ def _parse_map_file(alg: GradedAlgebra, path: str) -> dict[int, Element]:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UsageError(f"map file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise UsageError("map file is not valid JSON: nested too deeply") from exc
     if (
         not isinstance(doc, dict)
         or set(doc) != {"images"}
@@ -439,100 +381,135 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Turns every usage error, in any subparser, into one ``UsageError``."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected integers: {text!r}") from None
+
+
+def _orders(text: str) -> tuple[int, ...]:
+    orders = _int_list(text)
+    if len(orders) != 2 or min(orders) < 2:
+        raise argparse.ArgumentTypeError("must be two integers >= 2")
+    return orders
+
+
+_RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
+
+
+def _gamma_range(text: str) -> range:
+    m = _RANGE_RE.match(text)
+    if not m or int(m.group(1)) > int(m.group(2)):
+        raise argparse.ArgumentTypeError(f"expected a..b with a <= b: {text!r}")
+    return range(int(m.group(1)), int(m.group(2)) + 1)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gradedlie",
         description="Exact derivation-space computations on graded Lie algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("builtin", help="write a built-in algebra to a file")
-    p.add_argument("kind", choices=["sv", "witt", "sl", "borel", "K"])
-    p.add_argument("--max", type=int, default=None, help="window radius")
-    p.add_argument("--d", type=int, default=None, help="number of variables (witt)")
-    p.add_argument("--n", type=int, default=None, help="matrix size (sl / borel)")
-    p.add_argument("--sign", choices=["+", "-"], default=None)
-    p.add_argument("--no-center", action="store_true")
-    p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_builtin)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("-o", "--output", required=True)
+    k = kinds.add_parser("sv", parents=[out], help="Schrödinger-Virasoro window")
+    k.add_argument("--max", type=int, default=2, help="window radius")
+    k.add_argument("--no-center", dest="center", action="store_false")
+    k.set_defaults(build=lambda a: builders.build_sv(WindowSpec(a.max), a.center))
+    k = kinds.add_parser("witt", parents=[out], help="Witt algebra window")
+    k.add_argument("--d", type=int, default=1, help="number of variables")
+    k.add_argument("--max", type=int, default=2, help="window radius")
+    k.set_defaults(build=lambda a: builders.build_witt(a.d, WindowSpec(a.max)))
+    k = kinds.add_parser("sl", parents=[out], help="sl(n)")
+    k.add_argument("--n", type=int, default=2, help="matrix size")
+    k.set_defaults(build=lambda a: builders.build_sl(a.n))
+    k = kinds.add_parser("borel", parents=[out], help="Borel subalgebra of sl(n)")
+    k.add_argument("--n", type=int, default=2, help="matrix size")
+    k.add_argument("--sign", choices=["+", "-"], default="+")
+    k.set_defaults(build=lambda a: builders.build_borel(a.n, a.sign))
+    k = kinds.add_parser("K", parents=[out], help="the counterexample K")
+    k.set_defaults(build=lambda a: builders.build_counterexample_k())
 
-    p = sub.add_parser("check", help="validate an algebra file")
-    p.add_argument("file")
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("-o", "--output", default=None)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("file")
+    common.add_argument("--format", choices=["json", "text"], default="json")
+    common.add_argument("-o", "--output", default=None)
+
+    p = sub.add_parser("check", parents=[common], help="validate an algebra file")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("solve", help="solve one homogeneous constraint system")
-    p.add_argument("file")
+    p = sub.add_parser(
+        "solve", parents=[common], help="solve one homogeneous constraint system"
+    )
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--gamma", default=None)
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("-o", "--output", default=None)
+    p.add_argument("--gamma", type=_int_list, required=True)
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("compare", help="compare two orders on an inner window")
-    p.add_argument("file")
-    p.add_argument("--orders", required=True)
-    p.add_argument("--gamma", default=None)
-    p.add_argument("--gamma-range", default=None)
+    p = sub.add_parser(
+        "compare", parents=[common], help="compare two orders on an inner window"
+    )
+    p.add_argument("--orders", type=_orders, required=True)
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--gamma", type=_int_list)
+    g.add_argument("--gamma-range", type=_gamma_range)
     p.add_argument("--buffer", type=int, default=None)
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("propp", help="search decomposability witnesses")
-    p.add_argument("file")
-    p.add_argument("--element", default=None)
-    p.add_argument("--all-basis", action="store_true")
+    p = sub.add_parser(
+        "propp", parents=[common], help="search decomposability witnesses"
+    )
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--element")
+    g.add_argument("--all-basis", action="store_true")
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_propp)
 
-    p = sub.add_parser("decompose", help="split a map into homogeneous components")
-    p.add_argument("file")
+    p = sub.add_parser(
+        "decompose", parents=[common], help="split a map into homogeneous components"
+    )
     p.add_argument("--map", required=True)
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_decompose)
 
     return parser
 
 
 _VALUE_FLAGS = {"--gamma", "--gamma-range", "--orders"}
-_VALUE_SHAPE = re.compile(r"^-\d[\d,.]*$")
 
 
 def _fuse_negative_values(argv: Sequence[str]) -> list[str]:
-    """Let value flags take leading-dash values in space-separated form."""
-    out = []
+    """Join each value flag to the token after it, so that a value starting
+    with '-' (``--gamma -1,-1``, ``--gamma-range -2..-1``) is read as the
+    flag's value, not as an option."""
+    out = list(argv)
     i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if (
-            tok in _VALUE_FLAGS
-            and i + 1 < len(argv)
-            and _VALUE_SHAPE.match(argv[i + 1])
-        ):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
+    while i + 1 < len(out):
+        if out[i] in _VALUE_FLAGS:
+            out[i:i + 2] = [f"{out[i]}={out[i + 1]}"]
+        i += 1
     return out
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_fuse_negative_values(argv))
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _build_parser().parse_args(_fuse_negative_values(argv))
         return args.func(args)
+    except SystemExit as exc:  # --help printed its text
+        return int(exc.code or 0)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

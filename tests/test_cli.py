@@ -40,6 +40,17 @@ def k_file(tmp_path, capsys):
     return str(path)
 
 
+def assert_one_line_error(code, out, err, prefix="error: "):
+    assert code == 2 and not out
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
+def _sl2_with(edit):
+    doc = copy.deepcopy(_SL2_DOC)
+    edit(doc, len(doc["basis"]))
+    return doc
+
+
 class TestBuiltinAndCheck:
     def test_builtin_then_check(self, capsys, sv2_file):
         code, doc = run_json(capsys, "check", sv2_file)
@@ -104,6 +115,28 @@ class TestBuiltinAndCheck:
         code, out, err = run(capsys, "check", str(bad))
         assert code == 2 and not out
         assert err.startswith("parse error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            _sl2_with(lambda d, dim: d["brackets"][-1].update(j=dim)),
+            _sl2_with(lambda d, dim: d["brackets"][0]["terms"][-1].update(k=dim)),
+            _sl2_with(lambda d, dim: d["brackets"][0]["terms"][0].update(k=-1)),
+            _sl2_with(lambda d, dim: d["brackets"][0]["terms"][0].update(c="0")),
+            _sl2_with(lambda d, dim: d.update(cartan=[dim])),
+            _sl2_with(lambda d, dim: d["basis"][0]["degree"].append(0)),
+        ],
+        ids=["j-is-dim", "k-is-dim", "k-negative", "zero-coefficient",
+             "cartan-is-dim", "degree-too-long"],
+    )
+    def test_constructor_checks_reach_the_file(self, capsys, tmp_path, doc):
+        # load leaves these checks to GradedAlgebra's constructor
+        text = json.dumps(doc)
+        with pytest.raises(builders.ParseError):
+            builders.load(text.encode())
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert_one_line_error(*run(capsys, "check", str(bad)), prefix="parse error: ")
 
     def test_builtin_refuses_an_oversized_basis(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(builders, "MAX_BASIS_SIZE", 10)
@@ -217,6 +250,13 @@ class TestCompare:
         )
         assert code == 2 and "buffer" in err
 
+    def test_gamma_and_gamma_range_exclude_each_other(self, capsys, k_file):
+        result = run(
+            capsys, "compare", k_file, "--orders", "2,3", "--gamma", "-2",
+            "--gamma-range", "-1..1",
+        )
+        assert_one_line_error(*result)
+
     def test_orders_validation(self, capsys, k_file):
         code, _, err = run(
             capsys, "compare", k_file, "--orders", "2", "--gamma", "0", "--buffer", "0"
@@ -253,6 +293,10 @@ class TestPropp:
     def test_requires_selector(self, capsys, sv2_file):
         code, _, err = run(capsys, "propp", sv2_file)
         assert code == 2
+
+    def test_element_and_all_basis_exclude_each_other(self, capsys, k_file):
+        result = run(capsys, "propp", k_file, "--element", "M_1", "--all-basis")
+        assert_one_line_error(*result)
 
     def test_unknown_element(self, capsys, sv2_file):
         code, out, err = run(capsys, "propp", sv2_file, "--element", "nope")
@@ -307,13 +351,15 @@ class TestDecompose:
                     {"source": "L_0", "value": [{"label": "M_-1", "c": "1"}]},
                 ]
             },
+            "[" * 100_000 + "]" * 100_000,
         ],
         ids=["images-not-list", "value-not-list", "c-not-string",
-             "source-not-string", "label-not-string", "source-repeated"],
+             "source-not-string", "label-not-string", "source-repeated",
+             "nested-too-deeply"],
     )
     def test_malformed_map(self, capsys, tmp_path, k_file, doc):
         mapfile = tmp_path / "map.json"
-        mapfile.write_text(json.dumps(doc))
+        mapfile.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         code, out, err = run(capsys, "decompose", k_file, "--map", str(mapfile))
         assert code == 2 and not out
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -348,6 +394,39 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("solve", "{k}", "--gamma", "0"),
+            ("solve", "{k}", "--order", "2", "--gamma", "0", "--format", "xml"),
+            ("frobnicate",),
+            ("builtin", "sl", "--max", "4", "-o", "{out}"),
+        ],
+        ids=["missing-order", "bad-format", "unknown-command", "flag-of-other-kind"],
+    )
+    def test_usage_error_is_one_line(self, capsys, tmp_path, k_file, args):
+        args = [a.format(k=k_file, out=tmp_path / "x.json") for a in args]
+        assert_one_line_error(*run(capsys, *args))
+
+    @pytest.mark.parametrize(
+        "builtin,args,flag,value",
+        [
+            (("K",), ("compare", "--orders", "2,3"), "--gamma-range", "-2..-1"),
+            (("witt", "--d", "2", "--max", "1"), ("solve", "--order", "2"),
+             "--gamma", "-1,-1"),
+        ],
+        ids=["gamma-range", "gamma-list"],
+    )
+    def test_negative_value_after_a_space(
+        self, capsys, tmp_path, builtin, args, flag, value
+    ):
+        path = str(tmp_path / "alg.json")
+        assert run(capsys, "builtin", *builtin, "-o", path)[0] == 0
+        command, *rest = args
+        spaced = run(capsys, command, path, *rest, flag, value)
+        joined = run(capsys, command, path, *rest, f"{flag}={value}")
+        assert spaced == joined and not joined[2] and joined[1]
 
 
 _KEYS = st.sampled_from(sorted(set(_SL2_DOC) | {"label", "degree", "i", "j", "k", "c"}))
@@ -412,3 +491,114 @@ def test_fuzzed_algebra_file_fails_cleanly(tmp_path_factory, data):
         code = main(["check", str(path)])
     assert code in (0, 1, 2)
     assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_clean_exit(code, err):
+    assert code in (0, 1, 2)
+    assert err.count("\n") <= 1 and "Traceback" not in err
+
+
+_K_MAP = {
+    "images": [
+        {"source": "L_0", "value": [{"label": "M_1", "c": "1"},
+                                    {"label": "M_-1", "c": "1/2"}]},
+        {"source": "M_1", "value": [{"label": "L_0", "c": "-2"}]},
+    ]
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, alg in (("K", builders.build_counterexample_k()),
+                      ("sl2", builders.build_sl(2))):
+        (root / f"{name}.json").write_bytes(builders.save(alg))
+    (root / "map.json").write_text(json.dumps(_K_MAP))
+    return root
+
+
+_COMMANDS = ["builtin", "check", "solve", "compare", "propp", "decompose",
+             "frobnicate", ""]
+_KINDS = ["sv", "witt", "sl", "borel", "K", "Q"]
+_INTS = st.integers(-3, 2).map(str)
+_RANGES = st.integers(-3, 3).flatmap(
+    lambda lo: st.integers(lo - 1, lo + 3).map(lambda hi: f"{lo}..{hi}")
+)
+_LISTS = st.lists(st.integers(-3, 3), min_size=2, max_size=3).map(
+    lambda xs: ",".join(map(str, xs))
+)
+_JUNK = st.sampled_from(["", "-", "--", "..", "1..", "=", "a,b", "x", "0.5", "1e3"])
+# values for any flag; positive integers stay within every flag's size bound
+_VALUES = _INTS | _RANGES | _LISTS | _JUNK
+
+
+def _flag_values(files):
+    # per-flag values, bounded so that no draw builds or walks for long:
+    # orders <= 4, |gamma| <= 3, range width <= 3, --max, --d <= 2,
+    # --n <= 3, --samples <= 3
+    paths = st.sampled_from([str(files / "K.json"), str(files / "sl2.json"),
+                             str(files / "map.json"), str(files / "missing.json")])
+    outputs = st.sampled_from([str(files / "out.json"), str(files / "no" / "x.json")])
+    small = st.integers(-1, 2).map(str)
+    return {
+        "--max": small, "--d": small, "--n": st.integers(-1, 3).map(str),
+        "--sign": st.sampled_from(["+", "-", "x"]),
+        "--no-center": None, "--all-basis": None, "--help": None,
+        "-o": outputs, "--output": outputs,
+        "--format": st.sampled_from(["json", "text", "xml"]),
+        "--order": st.integers(-1, 4).map(str),
+        "--orders": st.sampled_from(["2,3", "2,4", "3,4", "2", "1,2", "2,3,4"]),
+        "--gamma": st.integers(-3, 3).map(str) | _LISTS,
+        "--gamma-range": _RANGES,
+        "--buffer": st.integers(-1, 3).map(str),
+        "--element": st.sampled_from(["M_1", "L_0", "E(1,2)", "H_1", "nope"]),
+        "--samples": st.integers(0, 3).map(str),
+        "--seed": st.integers(-5, 5).map(str),
+        "--map": paths,
+        "--gam": _VALUES, "--no": None, "-x": None,
+    }, paths
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fuzzed_arguments_fail_cleanly(fuzz_files, data):
+    # subcommands, builtin kinds, every flag, alone, with its own values
+    # or with any value: every outcome is an exit code and at most one line
+    flags, paths = _flag_values(fuzz_files)
+    argv = [data.draw(st.sampled_from(_COMMANDS))]
+    if argv[0] == "builtin":
+        argv.append(data.draw(st.sampled_from(_KINDS)))
+    elif data.draw(st.booleans()):
+        argv.append(data.draw(paths))
+    for _ in range(data.draw(st.integers(0, 6))):
+        flag = data.draw(st.sampled_from(sorted(flags)))
+        own = flags[flag]
+        form = data.draw(st.sampled_from(["pair", "joined", "bare", "value"]))
+        if form == "value":
+            argv.append(data.draw(_VALUES | paths))
+        elif own is None or form == "bare":
+            argv.append(flag)
+        elif form == "pair":
+            argv += [flag, data.draw(own)]
+        else:
+            argv.append(f"{flag}={data.draw(own)}")
+    _assert_clean_exit(*_run_quietly(argv))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fuzzed_map_file_fails_cleanly(fuzz_files, data):
+    doc = copy.deepcopy(_K_MAP)
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = _mutate(doc, data)
+    path = fuzz_files / "fuzzed_map.json"
+    path.write_text(json.dumps(doc))
+    code, err = _run_quietly(["decompose", str(fuzz_files / "K.json"), "--map", str(path)])
+    _assert_clean_exit(code, err)

@@ -1,10 +1,15 @@
 """Guards for the repository's tooling outside ``src/``."""
 
+import argparse
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+from gradedlie import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def test_trace_targets_resolve(monkeypatch):
@@ -16,3 +21,47 @@ def test_trace_targets_resolve(monkeypatch):
     spec.loader.exec_module(tracing)
     for owner, attr, _name in tracing.TARGETS:
         assert callable(getattr(owner, attr, None)), (owner.__name__, attr)
+
+
+def _children(parser):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def _leaves(parser, path=()):
+    children = _children(parser)
+    if not children:
+        yield path, parser
+    for name, child in children.items():
+        yield from _leaves(child, path + (name,))
+
+
+def _options(parser):
+    return {
+        action.dest: set(action.option_strings)
+        for action in parser._actions
+        if action.option_strings and not isinstance(action, argparse._HelpAction)
+    }
+
+
+def test_readme_cli_matches_parser():
+    # each usage line in README's CLI block names exactly the options its
+    # (sub)parser accepts, and every (sub)parser has a line
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## CLI\n", 1)[1].split("```\n")[1]
+    leaves = dict(_leaves(cli._build_parser()))
+    documented = set()
+    for line in block.splitlines():
+        words = line.split()
+        assert words[0] == "gradedlie", line
+        (path,) = [p for p in leaves if tuple(words[1:1 + len(p)]) == p]
+        documented.add(path)
+        named = set(re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", line))
+        accepted = _options(leaves[path])
+        assert {
+            dest for dest, strings in accepted.items() if strings & named
+        } == set(accepted), line
+        assert named <= set().union(*accepted.values()), line
+    assert documented == set(leaves)
