@@ -45,14 +45,21 @@ def _element_json(alg: GradedAlgebra, x: Element) -> list[list[str]]:
     return [[alg.label(k), format_rational(c)] for k, c in sorted(x.items())]
 
 
+def _write(path: str, payload: bytes) -> None:
+    try:
+        with open(path, "wb") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _emit(doc, fmt: str, out_path: Optional[str], text_lines) -> None:
     if fmt == "json":
         payload = (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
     else:
         payload = ("\n".join(text_lines) + "\n").encode("utf-8")
     if out_path:
-        with open(out_path, "wb") as fh:
-            fh.write(payload)
+        _write(out_path, payload)
     else:
         sys.stdout.write(payload.decode("utf-8"))
 
@@ -92,11 +99,7 @@ def _validation_text(doc: dict) -> list[str]:
 
 def _cmd_builtin(args) -> int:
     alg = args.build(args)
-    try:
-        with open(args.output, "wb") as fh:
-            fh.write(builders.save(alg))
-    except OSError as exc:
-        raise UsageError(f"cannot write {args.output}: {exc.strerror}") from exc
+    _write(args.output, builders.save(alg))
     sys.stdout.write(f"wrote {alg.name} ({alg.dim} basis elements) to {args.output}\n")
     return 0
 

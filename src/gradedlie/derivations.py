@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional
 
 from .algebra import (
     Degree,
@@ -31,7 +31,6 @@ from .linalg import (
     SparseMatrix,
     SparseVector,
     SubspaceBasis,
-    _rank_of_rows,
     nullspace,
     project_basis,
     row_space_equal,
@@ -63,7 +62,12 @@ class UnknownIndex:
     """Bijection between (source, target) basis pairs and solver columns.
 
     Pairs are sorted lexicographically; the domain is every source basis
-    element whose shifted degree is present in the algebra.
+    element whose shifted degree is present in the algebra.  The column
+    layout is built once here and read from two tables: ``by_source[b]``
+    holds the (column, target) of each unknown with source b, and
+    ``by_target[t]`` maps each source b of an unknown (b, t) to its column.
+    The constraint walk, ``column``, ``encode`` and ``is_inner`` all read
+    them.
     """
 
     def __init__(self, alg: GradedAlgebra, gamma: Degree):
@@ -72,18 +76,25 @@ class UnknownIndex:
         self.alg = alg
         self.gamma = tuple(gamma)
         pairs: list[tuple[int, int]] = []
+        by_source: list[tuple[tuple[int, int], ...]] = []
+        self.by_target: list[dict[int, int]] = [{} for _ in range(alg.dim)]
         for b in range(alg.dim):
-            for bp in alg.basis_at(add_degrees(alg.degree_of(b), self.gamma)):
-                pairs.append((b, bp))
+            targets = alg.basis_at(add_degrees(alg.degree_of(b), self.gamma))
+            by_source.append(tuple(enumerate(targets, len(pairs))))
+            for col, t in by_source[-1]:
+                self.by_target[t][b] = col
+                pairs.append((b, t))
         self.pairs = tuple(pairs)
-        self._col = {p: c for c, p in enumerate(pairs)}
-        self.domain = tuple(sorted({b for b, _ in pairs}))
+        self.by_source = tuple(by_source)
+        self.domain = tuple(b for b, cols in enumerate(by_source) if cols)
 
     def __len__(self) -> int:
         return len(self.pairs)
 
     def column(self, source: int, target: int) -> int:
-        return self._col[(source, target)]
+        if not 0 <= target < len(self.by_target):  # a list index would wrap at -1
+            raise KeyError((source, target))
+        return self.by_target[target][source]
 
     def decode(self, vec: SparseVector) -> HomogeneousMap:
         images: dict[int, Element] = {}
@@ -100,12 +111,12 @@ class UnknownIndex:
             for bp, c in img.items():
                 if c == 0:
                     raise ValueError("zero coefficients must not be stored")
-                col = self._col.get((b, bp))
-                if col is None:
+                try:
+                    out[self.column(b, bp)] = c
+                except KeyError:
                     raise ValueError(
                         f"image pair ({b}, {bp}) is not a valid unknown"
-                    )
-                out[col] = c
+                    ) from None
         return out
 
 
@@ -130,7 +141,8 @@ def constraint_rows(index: UnknownIndex, order: int) -> Iterator[Row]:
         raise ValueError("order must be >= 2")
     alg = index.alg
     gamma = index.gamma
-    colmap = index._col
+    candidates = index.by_source
+    col_of = index.by_target
     by_deg = {d: alg.basis_at(d) for d in sorted(alg.degree_set)}
     apply_basis = alg._apply_basis
     is_safe_sum = alg.is_safe_sum
@@ -150,18 +162,8 @@ def constraint_rows(index: UnknownIndex, order: int) -> Iterator[Row]:
                     got.append((members, s2, by_deg.get(add_degrees(s2, gamma), ())))
         return got
 
-    candidates: list[tuple[tuple[int, int], ...]] = []
-    for b in range(alg.dim):
-        tdeg = add_degrees(alg.degree_of(b), gamma)
-        candidates.append(
-            tuple((colmap[(b, bp)], bp) for bp in alg.basis_at(tdeg))
-        )
     # Elements that may sit innermost: those whose degree is a safe sum.
     innermost = {b for members, _, _ in ext(alg.zero_degree()) for b in members}
-    # Per target t, the column of each source b of the unknown (b, t).
-    col_of: list[dict[int, int]] = [{} for _ in range(alg.dim)]
-    for col, (b, t) in enumerate(index.pairs):
-        col_of[t][b] = col
 
     seen: set[Row] = set()
 
@@ -352,13 +354,14 @@ def compare_orders(
     witness_side = None
     witness = None
     if not equal:
-        rank_union = _rank_of_rows(p1.vectors + p2.vectors, p1.dim_ambient)
-        intersection = p1.dim + p2.dim - rank_union
+        # The first p2 vector that grows the fold of p1 is the first one
+        # outside span(p1); the whole fold is the union's rank.
+        union = Echelon(p1.dim_ambient, (v.entries for v in p1.vectors))
         for v in p2.vectors:
-            if not vector_in_span(v, p1):
+            if union.add(v.entries) and witness is None:
                 witness_side, witness = "second", v
-                break
-        else:
+        intersection = p1.dim + p2.dim - union.rank
+        if witness is None:
             for v in p1.vectors:
                 if not vector_in_span(v, p2):
                     witness_side, witness = "first", v
@@ -389,25 +392,13 @@ def is_inner(alg: GradedAlgebra, phi: HomogeneousMap) -> Optional[Element]:
     gamma = tuple(phi.gamma)
     generators = alg.basis_at(gamma)
     index = UnknownIndex(alg, gamma)
-    index.encode(phi)  # validates well-formedness
-    rows: list[dict[int, Rational]] = []
-    rhs: dict[int, Rational] = {}
-    row_pos = 0
-    for b in index.domain:
-        img = phi.images.get(b, {})
-        targets = alg.basis_at(add_degrees(alg.degree_of(b), gamma))
-        ad_values = [dict(alg.pair_bracket(g, b)) for g in generators]
-        for t in targets:
-            row = {}
-            for g_pos, vals in enumerate(ad_values):
-                c = vals.get(t)
-                if c:
-                    row[g_pos] = c
-            rows.append(row)
-            want = img.get(t)
-            if want:
-                rhs[row_pos] = want
-            row_pos += 1
+    rhs = index.encode(phi)
+    # One equation per unknown (b, t): sum over g of x_g [g, e_b]_t = phi(e_b)_t.
+    rows: list[dict[int, Rational]] = [{} for _ in index.pairs]
+    for pos, g in enumerate(generators):
+        for b in index.domain:
+            for t, c in alg.pair_bracket(g, b):
+                rows[index.column(b, t)][pos] = c
     solution = linear_solve(
         SparseMatrix.from_rows(len(generators), rows),
         SparseVector.from_dict(rhs),

@@ -279,10 +279,6 @@ def solve(m: SparseMatrix, b: SparseVector) -> Optional[SparseVector]:
     return SparseVector.from_dict(x)
 
 
-def _rank_of_rows(rows: Iterable[SparseVector], num_cols: int) -> int:
-    return Echelon(num_cols, (r.entries for r in rows)).rank
-
-
 def row_space_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:
     """True iff span(a) = span(b), decided by comparing their unique RREFs."""
     if a.dim_ambient != b.dim_ambient:

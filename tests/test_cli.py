@@ -410,6 +410,26 @@ class TestUsage:
         assert_one_line_error(*run(capsys, *args))
 
     @pytest.mark.parametrize(
+        "args",
+        [
+            ("check", "{k}"),
+            ("solve", "{k}", "--order", "2", "--gamma", "0"),
+            ("compare", "{k}", "--orders", "2,3", "--gamma", "-2"),
+            ("propp", "{k}", "--all-basis"),
+            ("decompose", "{k}", "--map", "{map}"),
+        ],
+        ids=["check", "solve", "compare", "propp", "decompose"],
+    )
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_output_is_one_line(self, capsys, tmp_path, k_file, args, target):
+        mapfile = tmp_path / "map.json"
+        mapfile.write_text(json.dumps({"images": []}))
+        out = tmp_path / "absent" / "x.json" if target == "missing-dir" else tmp_path
+        args = [a.format(k=k_file, map=mapfile) for a in args]
+        code, stdout, err = run(capsys, *args, "-o", str(out))
+        assert_one_line_error(code, stdout, err, prefix="error: cannot write ")
+
+    @pytest.mark.parametrize(
         "builtin,args,flag,value",
         [
             (("K",), ("compare", "--orders", "2,3"), "--gamma-range", "-2..-1"),

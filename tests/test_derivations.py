@@ -35,11 +35,14 @@ from gradedlie.linalg import (
     SparseVector,
     SubspaceBasis,
     nullspace,
+    project_basis,
     row_space_equal,
     vector_in_span,
 )
 
 from oracle import (
+    dense_bracket,
+    dense_rank,
     dense_rref,
     oracle_gammas,
     oracle_nder_dim,
@@ -344,6 +347,44 @@ def test_certified_exit_matches_full_walk_on_small_algebras(data):
     check_certified_path(alg, [pair], gamma, inner)
 
 
+# The oracle takes seconds above these orders on the larger families.
+_ORACLE_MAX_ORDER = {"sv2": 3, "sv2-nocenter": 3, "sl3": 3, "witt2_1": 2}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_solver_and_is_inner_match_the_oracle(data):
+    family = data.draw(st.sampled_from(sorted(_SMALL_FAMILIES)))
+    alg = _small(family)
+    gamma = data.draw(st.sampled_from(domain_gammas(alg)))
+    order = data.draw(st.integers(2, _ORACLE_MAX_ORDER.get(family, 4)))
+    assert solve_nder(alg, order, gamma).dim == oracle_nder_dim(alg, order, gamma)
+
+    # ad(g) on the domain, one dense row per g, over the oracle's unknowns
+    pairs = oracle_unknowns(alg, gamma)
+    ad = [
+        [dense_bracket(alg, unit(g), unit(b)).get(t, Fraction(0)) for b, t in pairs]
+        for g in alg.basis_at(gamma)
+    ]
+    coeffs = st.integers(-2, 2).map(Fraction)
+    mix = data.draw(st.lists(coeffs, min_size=len(ad), max_size=len(ad)))
+    noise = [Fraction(0)] * len(pairs)
+    if data.draw(st.booleans()):
+        noise = data.draw(st.lists(coeffs, min_size=len(pairs), max_size=len(pairs)))
+    dense = [
+        sum(a * row[i] for a, row in zip(mix, ad)) + noise[i] for i in range(len(pairs))
+    ]
+    images = {}
+    for (b, t), c in zip(pairs, dense):
+        if c:
+            images.setdefault(b, {})[t] = c
+    x = is_inner(alg, HomogeneousMap(gamma, images))
+    assert (x is None) == (dense_rank(ad + [dense]) > dense_rank(ad))
+    if x is not None:
+        for b in {b for b, _ in pairs}:
+            assert dense_bracket(alg, x, unit(b)) == images.get(b, {})
+
+
 def test_certified_exit_examines_few_rows():
     # Of a mirrored innermost pair the walk keeps the tuple with the smaller
     # element innermost, which it meets first, so rows of every innermost
@@ -577,6 +618,27 @@ class TestCompareOrders:
         rep = compare_orders(k_alg, 2, even, (-2,), WindowSpec(1))
         assert rep.equal and rep.dims == (0, 0, 0)
 
+    @pytest.mark.parametrize(
+        "orders,side,dims",
+        [
+            ((2, 3), "second", (0, 1, 0)),
+            ((4, 5), "second", (0, 1, 0)),
+            ((3, 4), "first", (1, 0, 0)),
+            ((3, 2), "first", (1, 0, 0)),
+        ],
+    )
+    def test_k_witness_lies_in_one_space_only(self, k_alg, orders, side, dims):
+        gamma = (-2,)
+        rep = compare_orders(k_alg, *orders, gamma, WindowSpec(1))
+        assert not rep.equal and rep.dims == dims and rep.witness_side == side
+        index = UnknownIndex(k_alg, gamma)
+        cols = [index.column(b, t) for b, t in rep.projected_pairs]
+        spaces = [project_basis(solve_nder(k_alg, n, gamma), cols) for n in orders]
+        assert [vector_in_span(rep.witness, p) for p in spaces] == [
+            side == "first",
+            side == "second",
+        ]
+
     def test_self_comparison(self, sv2):
         for gamma in [(-2,), (0,), (3,)]:
             rep = compare_orders(sv2, 3, 3, gamma, WindowSpec(2))
@@ -588,6 +650,22 @@ class TestCompareOrders:
 
 
 class TestIsInner:
+    def test_bad_pairs_are_rejected(self, sv2):
+        gamma = (1,)
+        index = UnknownIndex(sv2, gamma)
+        last = sv2.dim - 1
+        # a target of -1 must not wrap onto the real unknown (source, last)
+        source = next(b for b, t in index.pairs if t == last)
+        outside = next(b for b in range(sv2.dim) if b not in index.domain)
+        for b, t in [(source, -1), (source, sv2.dim), (outside, 0)]:
+            with pytest.raises(KeyError):
+                index.column(b, t)
+            phi = HomogeneousMap(gamma, {b: {t: Fraction(1)}})
+            with pytest.raises(ValueError):
+                index.encode(phi)
+            with pytest.raises(ValueError):
+                is_inner(sv2, phi)
+
     def test_ad_h_recovers_h(self, sl2):
         h = sl2.index_of("H_1")
         phi = HomogeneousMap(
@@ -728,7 +806,7 @@ class TestOuterQuotient:
         # At shift zero the window M=4 solution space is 4-dimensional; the
         # only nonzero adjoint map from the Cartan is ad(L_0) (M_0 and C are
         # central), so the quotient by inner derivations has dimension 3.
-        from gradedlie.linalg import SparseVector, _rank_of_rows
+        from gradedlie.linalg import Echelon, SparseVector
 
         basis = solve_nder(sv4, 2, (0,))
         assert basis.dim == 4
@@ -743,7 +821,7 @@ class TestOuterQuotient:
                 vec = SparseVector.from_dict(coeffs)
                 assert vector_in_span(vec, basis)
                 ad_vecs.append(vec)
-        inner_rank = _rank_of_rows(tuple(ad_vecs), len(index))
+        inner_rank = Echelon(len(index), (v.entries for v in ad_vecs)).rank
         assert inner_rank == 1
         assert basis.dim - inner_rank == 3
 

@@ -1,6 +1,7 @@
 """Guards for the repository's tooling outside ``src/``."""
 
 import argparse
+import ast
 import importlib.util
 import re
 import sys
@@ -10,6 +11,7 @@ from gradedlie import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "bench" / "tracing.py"
+SRC = ROOT / "src" / "gradedlie"
 
 
 def test_trace_targets_resolve(monkeypatch):
@@ -65,3 +67,20 @@ def test_readme_cli_matches_parser():
         } == set(accepted), line
         assert named <= set().union(*accepted.values()), line
     assert documented == set(leaves)
+
+
+def test_src_has_no_unused_imports():
+    # every name a module imports is used there, so a deletion cannot leave
+    # a dead import behind
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported - used - {"annotations"} == set(), path.name
