@@ -2,15 +2,16 @@
 
 A ``GradedAlgebra`` holds a finite basis with integer-vector degrees, sparse
 antisymmetric structure constants stored only for index pairs i < j, and a
-designated Cartan index set.  Brackets whose true result lies outside the
-stored degree set are simply absent; soundness of every computation on a
-truncation is the caller's responsibility via :meth:`GradedAlgebra.is_safe_sum`.
+designated Cartan index set; an element's index is its position in ``basis``.
+Brackets whose true result lies outside the stored degree set are simply
+absent; :meth:`GradedAlgebra.is_safe_sum` alone says which brackets a
+truncation evaluates exactly, for the constraint walk and ``validate`` alike.
 
 ``brackets`` holds the constants as exact ``Fraction`` values.  Every
 evaluation reads one private integer table of the constants times their least
 common denominator ``scale``: the walk and the Jacobi check use it as is (a
 uniformly scaled bracket has the same Jacobi zeros and N-derivation spaces),
-and ``bracket``/``pair_bracket`` divide by ``scale`` once.
+and ``bracket`` divides by ``scale`` once.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ def negate_degree(a: Degree) -> Degree:
 
 @dataclass(frozen=True)
 class BasisElement:
-    index: int
     label: str
     degree: Degree
 
@@ -101,9 +101,7 @@ class GradedAlgebra:
         self.basis = tuple(basis)
         n = len(self.basis)
         labels = set()
-        for pos, b in enumerate(self.basis):
-            if b.index != pos:
-                raise ValueError("basis indices must be dense 0..B-1")
+        for b in self.basis:
             if b.label in labels:
                 raise ValueError(f"duplicate label {b.label!r}")
             labels.add(b.label)
@@ -134,11 +132,11 @@ class GradedAlgebra:
 
         self._degrees = tuple(b.degree for b in self.basis)
         by_degree: dict[Degree, list[int]] = {}
-        for b in self.basis:
-            by_degree.setdefault(b.degree, []).append(b.index)
+        for pos, b in enumerate(self.basis):
+            by_degree.setdefault(b.degree, []).append(pos)
         self._by_degree = {d: tuple(v) for d, v in by_degree.items()}
         self._degree_set = frozenset(self._by_degree)
-        self._label_index = {b.label: b.index for b in self.basis}
+        self._label_index = {b.label: pos for pos, b in enumerate(self.basis)}
         # The walk's table: scale times every constant, both key orders.
         scale = math.lcm(*(c.denominator for ts in clean.values() for _, c in ts))
         table: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
@@ -197,12 +195,6 @@ class GradedAlgebra:
 
     # -- bracket evaluation ----------------------------------------------
 
-    def pair_bracket(self, i: int, j: int) -> tuple[tuple[int, Rational], ...]:
-        """[e_i, e_j] as (target, Fraction) terms, read from the integer table
-        (which holds both key orders) and divided by scale."""
-        scale = self._scale
-        return tuple((k, Fraction(c, scale)) for k, c in self._table.get((i, j), ()))
-
     def _apply_basis(self, i: int, x: Mapping[int, Rational]) -> dict[int, Rational]:
         """scale·[e_i, x] for any exact-valued x (int or Fraction), without
         input validation (hot path); the constraint walk passes ints and
@@ -260,12 +252,13 @@ class GradedAlgebra:
     # -- truncation safety ---------------------------------------------------
 
     def is_safe_sum(self, s: Degree, gamma: Degree) -> bool:
-        """Whether a right-partial degree sum s of a constraint tuple keeps
-        every bracket met at that step, with or without a gamma-shift
-        insertion, exactly evaluable.
+        """Whether every bracket met at degree sum s, with or without a
+        gamma-shift, is exactly evaluable.
 
-        On a truncation this requires both s and s + gamma to be present; a
-        tuple is safe when every one of its right-partial sums is.  On a
+        The constraint walk asks it of each right-partial sum s of a tuple,
+        gamma the degree shift, and a tuple is safe when all its sums are;
+        ``validate`` asks it with gamma the degree of a Jacobi triple's third
+        element.  On a truncation both s and s + gamma must be present.  On a
         complete algebra absent degrees are zero components, so every sum is
         safe.
         """
@@ -331,27 +324,25 @@ class GradedAlgebra:
                         )
                     )
 
-        # Jacobi on i <= j <= k.  On a truncation every bracket in the
-        # identity must stay inside the window: ok[d][k] says whether
-        # d + deg k is present, for each present degree d.
-        degs, present = self._degrees, self._degree_set
+        # Jacobi on the triples i <= j <= k whose every cyclic term
+        # [e_a, [e_b, e_c]] is safe: ok[d][k] = is_safe_sum(d, deg k) for each
+        # present degree d.  Past ok_i[j], deg i + deg j is absent only on a
+        # complete algebra, where every sum is safe: its row reads all true.
+        degs = self._degrees
         table = {key: dict(terms) for key, terms in self._table.items()}
         apply_basis = self._apply_basis
         n = self.dim
-        truncated = self.truncated
-        if truncated:
-            ok = {d: [add_degrees(d, e) in present for e in degs] for d in present}
+        ok = {d: [self.is_safe_sum(d, e) for e in degs] for d in self._degree_set}
+        everywhere = [True] * n
         for i in range(n):
-            if truncated:
-                ok_i = ok[degs[i]]
+            ok_i = ok[degs[i]]
             for j in range(i, n):
-                if truncated:
-                    if not ok_i[j]:
-                        continue
-                    ok_j = ok[degs[j]]
-                    ok_ij = ok[add_degrees(degs[i], degs[j])]
+                if not ok_i[j]:
+                    continue
+                ok_j = ok[degs[j]]
+                ok_ij = ok.get(add_degrees(degs[i], degs[j]), everywhere)
                 for k in range(j, n):
-                    if truncated and not (ok_j[k] and ok_i[k] and ok_ij[k]):
+                    if not (ok_j[k] and ok_i[k] and ok_ij[k]):
                         continue
                     # Integer table: every term carries the same factor scale**2.
                     total: dict[int, int] = {}

@@ -29,9 +29,9 @@ class ParseError(Exception):
     """Malformed algebra file."""
 
 
-# The largest basis a built-in family is built with.  witt d=3 M=3 (1,029
-# elements) fits and peaks at about 0.7 GB while building; the bracket table
-# grows with the square of the basis size.
+# The largest basis a built-in family is built with or a file may list.
+# witt d=3 M=3 (1,029 elements) fits and peaks at about 0.7 GB while
+# building; the bracket table grows with the square of the basis size.
 MAX_BASIS_SIZE = 1100
 
 
@@ -62,7 +62,7 @@ class _Builder:
 
     def add(self, label: str, degree: Degree) -> int:
         idx = len(self.basis)
-        self.basis.append(BasisElement(idx, label, degree))
+        self.basis.append(BasisElement(label, degree))
         return idx
 
     def set_bracket(self, i: int, j: int, terms: Mapping[int, Rational]) -> None:
@@ -325,9 +325,11 @@ def _expect_keys(obj: dict, keys: set[str], where: str) -> None:
         raise ParseError(f"{where}: missing fields {sorted(missing)}")
 
 
-def load(data: bytes) -> GradedAlgebra:
-    """Parse and validate an algebra file; invalid algebras are rejected.
-    Integer fields must be ``int`` proper: JSON booleans are rejected."""
+def parse(data: bytes) -> GradedAlgebra:
+    """Read an algebra file and run the constructor's checks, but not
+    ``validate``.  Integer fields must be ``int`` proper: JSON booleans are
+    rejected.  A basis longer than ``MAX_BASIS_SIZE`` is refused before
+    anything is built."""
     try:
         doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -344,6 +346,8 @@ def load(data: bytes) -> GradedAlgebra:
         raise ParseError("truncated must be a boolean")
     if not isinstance(doc["basis"], list) or not doc["basis"]:
         raise ParseError("basis must be a nonempty list")
+    if len(doc["basis"]) > MAX_BASIS_SIZE:
+        raise ParseError(f"basis: more than {MAX_BASIS_SIZE} elements")
     basis = []
     for pos, entry in enumerate(doc["basis"]):
         _expect_keys(entry, {"label", "degree"}, f"basis[{pos}]")
@@ -352,7 +356,7 @@ def load(data: bytes) -> GradedAlgebra:
             raise ParseError(f"basis[{pos}]: label must be a string")
         if not isinstance(degree, list) or not all(type(v) is int for v in degree):
             raise ParseError(f"basis[{pos}]: degree must be a list of integers")
-        basis.append(BasisElement(pos, label, tuple(degree)))
+        basis.append(BasisElement(label, tuple(degree)))
     cartan = doc["cartan"]
     if not isinstance(cartan, list) or not all(type(h) is int for h in cartan):
         raise ParseError("cartan must be a list of integer indices")
@@ -390,9 +394,14 @@ def load(data: bytes) -> GradedAlgebra:
     # degree lengths, index ranges, term order and zero constants are
     # checked by the constructor
     try:
-        alg = GradedAlgebra(name, gd, basis, brackets, cartan, truncated)
+        return GradedAlgebra(name, gd, basis, brackets, cartan, truncated)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def load(data: bytes) -> GradedAlgebra:
+    """Parse and validate an algebra file; invalid algebras are rejected."""
+    alg = parse(data)
     report = alg.validate()
     if not report.valid:
         lines = "; ".join(v.message for v in report.violations[:5])

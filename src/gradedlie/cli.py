@@ -35,7 +35,7 @@ from .derivations import (
     decompose_homogeneous,
     verify_property_witness,
 )
-from .linalg import format_rational, nullspace, parse_rational
+from .linalg import SparseVector, format_rational, nullspace, parse_rational
 
 class UsageError(Exception):
     pass
@@ -43,6 +43,17 @@ class UsageError(Exception):
 
 def _element_json(alg: GradedAlgebra, x: Element) -> list[list[str]]:
     return [[alg.label(k), format_rational(c)] for k, c in sorted(x.items())]
+
+
+def _map_json(
+    alg: GradedAlgebra, pairs: Sequence[tuple[int, int]], vec: SparseVector
+) -> list[list[str]]:
+    """A map vector over (source, target) columns as ["SOURCE->TARGET", "p/q"]
+    pairs."""
+    return [
+        ["{}->{}".format(*map(alg.label, pairs[col])), format_rational(c)]
+        for col, c in vec.entries
+    ]
 
 
 def _write(path: str, payload: bytes) -> None:
@@ -64,13 +75,12 @@ def _emit(doc, fmt: str, out_path: Optional[str], text_lines) -> None:
         sys.stdout.write(payload.decode("utf-8"))
 
 
-def _load_algebra(path: str) -> GradedAlgebra:
+def _read(path: str) -> bytes:
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            return fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
-    return builders.load(data)
 
 
 def _validation_doc(alg_name: str, report: ValidationReport) -> dict:
@@ -105,15 +115,9 @@ def _cmd_builtin(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    try:
-        alg = _load_algebra(args.file)
-    except InvalidAlgebraError as exc:
-        report = exc.report or ValidationReport()
-        doc = _validation_doc("<rejected>", report)
-        _emit(doc, args.format, args.output, _validation_text(doc))
-        return 1
+    alg = builders.parse(_read(args.file))
     report = alg.validate()
-    doc = _validation_doc(alg.name, report)
+    doc = _validation_doc(alg.name if report.valid else "<rejected>", report)
     _emit(doc, args.format, args.output, _validation_text(doc))
     return 0 if report.valid else 1
 
@@ -131,7 +135,7 @@ def _gamma_values(args, alg: GradedAlgebra) -> list[tuple[int, ...]]:
 
 
 def _cmd_solve(args) -> int:
-    alg = _load_algebra(args.file)
+    alg = builders.load(_read(args.file))
     gamma = _gamma_values(args, alg)[0]
     matrix, index = build_constraints(alg, args.order, gamma)
     basis = nullspace(matrix)
@@ -142,15 +146,7 @@ def _cmd_solve(args) -> int:
         "unknowns": len(index),
         "constraints": matrix.num_rows,
         "nullity": basis.dim,
-        "basis": [
-            [
-                [f"{alg.label(b)}->{alg.label(bp)}", format_rational(c)]
-                for (b, bp), c in (
-                    (index.pairs[col], c) for col, c in vec.entries
-                )
-            ]
-            for vec in basis.vectors
-        ],
+        "basis": [_map_json(alg, index.pairs, vec) for vec in basis.vectors],
     }
     lines = [
         f"algebra {alg.name}, order {args.order}, gamma {list(gamma)}",
@@ -168,16 +164,7 @@ def _comparison_doc(alg: GradedAlgebra, report: ComparisonReport) -> dict:
     if report.witness is not None:
         witness = {
             "order": report.witness_side,
-            "vector": [
-                [
-                    "{}->{}".format(
-                        alg.label(report.projected_pairs[col][0]),
-                        alg.label(report.projected_pairs[col][1]),
-                    ),
-                    format_rational(c),
-                ]
-                for col, c in report.witness.entries
-            ],
+            "vector": _map_json(alg, report.projected_pairs, report.witness),
         }
     return {
         "algebra": report.algebra,
@@ -215,7 +202,7 @@ def _comparison_text(doc: dict) -> list[str]:
 
 
 def _cmd_compare(args) -> int:
-    alg = _load_algebra(args.file)
+    alg = builders.load(_read(args.file))
     gammas = _gamma_values(args, alg)
     outer = _outer_radius(alg)
     if args.buffer is None:
@@ -264,7 +251,7 @@ def _pwitness_doc(alg: GradedAlgebra, label: str, w: PWitness, verified: bool) -
 
 
 def _cmd_propp(args) -> int:
-    alg = _load_algebra(args.file)
+    alg = builders.load(_read(args.file))
     budget = SearchBudget(samples=args.samples, seed=args.seed)
     if args.element is not None:
         try:
@@ -352,7 +339,7 @@ def _parse_map_file(alg: GradedAlgebra, path: str) -> dict[int, Element]:
 
 
 def _cmd_decompose(args) -> int:
-    alg = _load_algebra(args.file)
+    alg = builders.load(_read(args.file))
     images = _parse_map_file(alg, args.map)
     components = decompose_homogeneous(alg, images)
     doc = {
@@ -396,6 +383,16 @@ def _int_list(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected integers: {text!r}") from None
+
+
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:  # argparse's own wording for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0: {text!r}")
+    return value
 
 
 def _orders(text: str) -> tuple[int, ...]:
@@ -476,7 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--element")
     g.add_argument("--all-basis", action="store_true")
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_count, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_propp)
 

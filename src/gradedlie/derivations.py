@@ -397,7 +397,7 @@ def is_inner(alg: GradedAlgebra, phi: HomogeneousMap) -> Optional[Element]:
     rows: list[dict[int, Rational]] = [{} for _ in index.pairs]
     for pos, g in enumerate(generators):
         for b in index.domain:
-            for t, c in alg.pair_bracket(g, b):
+            for t, c in alg.bracket(alg.unit(g), alg.unit(b)).items():
                 rows[index.column(b, t)][pos] = c
     solution = linear_solve(
         SparseMatrix.from_rows(len(generators), rows),
@@ -485,45 +485,39 @@ def check_property_p(
         if triple:
             return PWitness("P2", alpha, dict(x), partner=alg.unit(y))
 
-    for b1 in range(alg.dim):
-        beta = sub_degrees(alpha, alg.degree_of(b1))
-        if beta == zero or beta == alpha:
-            continue
-        for b2 in alg.basis_at(beta):
-            z = dict(alg.pair_bracket(b1, b2))
-            c = _proportionality(z, x)
-            if c:
-                return PWitness(
-                    "P1",
-                    alpha,
-                    dict(x),
-                    left=alg.unit(b1),
-                    right={b2: 1 / c},
-                    beta=beta,
-                )
+    def candidates() -> Iterator[tuple[Element, Element, Degree]]:
+        # (left, right, deg right): every basis pair first, then the seeded
+        # samples for each beta in sorted order
+        for b1 in range(alg.dim):
+            beta = sub_degrees(alpha, alg.degree_of(b1))
+            if beta == zero or beta == alpha:
+                continue
+            for b2 in alg.basis_at(beta):
+                yield alg.unit(b1), alg.unit(b2), beta
+        rng = random.Random(budget.seed)
+        for beta in sorted(alg.degree_set):
+            if beta == zero or beta == alpha:
+                continue
+            left_members = alg.basis_at(sub_degrees(alpha, beta))
+            right_members = alg.basis_at(beta)
+            if not left_members or not right_members:
+                continue
+            for _ in range(budget.samples):
+                y1 = {b: rng.choice(_COEFF_POOL) for b in left_members}
+                y2 = {b: rng.choice(_COEFF_POOL) for b in right_members}
+                yield y1, y2, beta
 
-    rng = random.Random(budget.seed)
-    for beta in sorted(alg.degree_set):
-        if beta == zero or beta == alpha:
-            continue
-        left_deg = sub_degrees(alpha, beta)
-        left_members = alg.basis_at(left_deg)
-        right_members = alg.basis_at(beta)
-        if not left_members or not right_members:
-            continue
-        for _ in range(budget.samples):
-            y1 = {b: rng.choice(_COEFF_POOL) for b in left_members}
-            y2 = {b: rng.choice(_COEFF_POOL) for b in right_members}
-            c = _proportionality(alg.bracket(y1, y2), x)
-            if c:
-                return PWitness(
-                    "P1",
-                    alpha,
-                    dict(x),
-                    left=y1,
-                    right={k: v / c for k, v in y2.items()},
-                    beta=beta,
-                )
+    for left, right, beta in candidates():
+        c = _proportionality(alg.bracket(left, right), x)
+        if c:
+            return PWitness(
+                "P1",
+                alpha,
+                dict(x),
+                left=left,
+                right={k: v / c for k, v in right.items()},
+                beta=beta,
+            )
     return PWitness("none-found", alpha, dict(x))
 
 

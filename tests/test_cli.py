@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradedlie import builders
+from gradedlie.algebra import GradedAlgebra
 from gradedlie.cli import main
 
 _SL2_DOC = json.loads(builders.save(builders.build_sl(2)))
@@ -144,6 +145,30 @@ class TestBuiltinAndCheck:
         code, out, err = run(capsys, "builtin", "sv", "--max", "2", "-o", str(path))
         assert code == 2 and not out and not path.exists()
         assert err == "error: sv: more than 10 basis elements\n"
+
+    def test_check_refuses_an_oversized_file(
+        self, capsys, tmp_path, monkeypatch, sv2_file
+    ):
+        monkeypatch.setattr(builders, "MAX_BASIS_SIZE", 10)
+        sl3 = tmp_path / "sl3.json"
+        sl3.write_bytes(builders.save(builders.build_sl(3)))  # 8 elements
+        assert run(capsys, "check", str(sl3))[0] == 0
+        assert_one_line_error(*run(capsys, "check", sv2_file), prefix="parse error: ")
+
+    @pytest.mark.parametrize("valid", [True, False], ids=["valid", "invalid"])
+    def test_check_validates_once(self, capsys, tmp_path, monkeypatch, valid):
+        doc = copy.deepcopy(_SL2_DOC)
+        if not valid:
+            doc["brackets"][0]["terms"][0]["k"] = 0  # [E, F] off its degree
+        path = tmp_path / "sl2.json"
+        path.write_text(json.dumps(doc))
+        calls = []
+        validate = GradedAlgebra.validate
+        monkeypatch.setattr(
+            GradedAlgebra, "validate", lambda alg: calls.append(1) or validate(alg)
+        )
+        code, out = run_json(capsys, "check", str(path))
+        assert (code, out["valid"], len(calls)) == (1 - valid, valid, 1)
 
     def test_check_text_lists_violations_with_indices(self, capsys, tmp_path, sv2_file):
         doc = json.loads(open(sv2_file).read())
@@ -402,8 +427,10 @@ class TestUsage:
             ("solve", "{k}", "--order", "2", "--gamma", "0", "--format", "xml"),
             ("frobnicate",),
             ("builtin", "sl", "--max", "4", "-o", "{out}"),
+            ("propp", "{k}", "--all-basis", "--samples", "-3"),
         ],
-        ids=["missing-order", "bad-format", "unknown-command", "flag-of-other-kind"],
+        ids=["missing-order", "bad-format", "unknown-command", "flag-of-other-kind",
+             "negative-samples"],
     )
     def test_usage_error_is_one_line(self, capsys, tmp_path, k_file, args):
         args = [a.format(k=k_file, out=tmp_path / "x.json") for a in args]

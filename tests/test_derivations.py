@@ -430,7 +430,7 @@ def relabelled(alg: GradedAlgebra, rng: random.Random) -> GradedAlgebra:
     new = {o: p for p, o in enumerate(old)}
     s = [rng.choice(_RESCALES) for _ in old]
     basis = [
-        BasisElement(p, alg.label(o), alg.degree_of(o)) for p, o in enumerate(old)
+        BasisElement(alg.label(o), alg.degree_of(o)) for o in old
     ]
     brackets = {}
     for (i, j), terms in alg.brackets.items():
@@ -799,6 +799,20 @@ class TestPropertyP:
         w1 = check_property_p(sv4, x, SearchBudget(samples=10, seed=3))
         w2 = check_property_p(sv4, x, SearchBudget(samples=10, seed=3))
         assert w1 == w2
+
+    def test_basis_pairs_come_before_samples(self, sv4):
+        # a basis-pair witness needs no samples, and no budget changes it
+        elements = [
+            b
+            for b in range(sv4.dim)
+            if sv4.label(b)[0] in "MY" and sv4.degree_of(b) != (0,)
+        ]
+        assert len(elements) == 16
+        for b in elements:
+            w = check_property_p(sv4, unit(b), SearchBudget(samples=0))
+            assert w.kind == "P1" and len(w.left) == len(w.right) == 1
+            for budget in (SearchBudget(), SearchBudget(5, 9)):
+                assert check_property_p(sv4, unit(b), budget) == w
 
 
 class TestOuterQuotient:

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 from gradedlie import cli
+from gradedlie.algebra import GradedAlgebra
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "bench" / "tracing.py"
@@ -67,6 +68,19 @@ def test_readme_cli_matches_parser():
         } == set(accepted), line
         assert named <= set().union(*accepted.values()), line
     assert documented == set(leaves)
+
+
+def test_readme_library_tour_runs():
+    # README's python block runs as written, and every GradedAlgebra method
+    # its prose lists exists
+    readme = (ROOT / "README.md").read_text()
+    tour = readme.split("## Library quick tour\n", 1)[1]
+    exec(tour.split("```python\n", 1)[1].split("```\n", 1)[0], {})
+    (listed,) = re.findall(r"`GradedAlgebra` methods\s*\(([^)]*)\)", tour)
+    methods = re.findall(r"`(\w+)`", listed)
+    assert methods
+    for name in methods:
+        assert callable(getattr(GradedAlgebra, name, None)), name
 
 
 def test_src_has_no_unused_imports():
