@@ -34,10 +34,6 @@ _ONE = Fraction(1)
 class InvalidAlgebraError(Exception):
     """Raised when data violates the graded Lie algebra contract."""
 
-    def __init__(self, message: str, report: "ValidationReport | None" = None):
-        super().__init__(message)
-        self.report = report
-
 
 def add_degrees(a: Degree, b: Degree) -> Degree:
     return tuple(x + y for x, y in zip(a, b))
@@ -72,10 +68,6 @@ class ValidationReport:
     @property
     def valid(self) -> bool:
         return not self.violations
-
-    @property
-    def empty(self) -> bool:
-        return not self.violations and not self.warnings
 
 
 class GradedAlgebra:
@@ -238,16 +230,6 @@ class GradedAlgebra:
                     del out[k]
         scale = self._scale
         return {k: Fraction(v, scale) for k, v in out.items()}
-
-    def n_bracket(self, xs: Sequence[Element]) -> Element:
-        """Right-nested iterated bracket, folding from the last pair leftward."""
-        if len(xs) < 2:
-            raise ValueError("n_bracket needs at least 2 arguments")
-        acc = xs[-1]
-        self._check_element(acc)
-        for x in reversed(xs[:-1]):
-            acc = self.bracket(x, acc)
-        return acc
 
     # -- truncation safety ---------------------------------------------------
 

@@ -406,7 +406,6 @@ def load(data: bytes) -> GradedAlgebra:
     if not report.valid:
         lines = "; ".join(v.message for v in report.violations[:5])
         raise InvalidAlgebraError(
-            f"algebra fails validation ({len(report.violations)} violations): {lines}",
-            report,
+            f"algebra fails validation ({len(report.violations)} violations): {lines}"
         )
     return alg

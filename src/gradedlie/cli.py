@@ -21,6 +21,7 @@ from .algebra import (
     GradedAlgebra,
     InvalidAlgebraError,
     ValidationReport,
+    Violation,
     negate_degree,
 )
 from .builders import ParseError, WindowSpec
@@ -83,18 +84,19 @@ def _read(path: str) -> bytes:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
 
 
+def _violations_json(violations: Sequence[Violation]) -> list[dict]:
+    return [
+        {"kind": v.kind, "indices": list(v.indices), "message": v.message}
+        for v in violations
+    ]
+
+
 def _validation_doc(alg_name: str, report: ValidationReport) -> dict:
     return {
         "algebra": alg_name,
         "valid": report.valid,
-        "violations": [
-            {"kind": v.kind, "indices": list(v.indices), "message": v.message}
-            for v in report.violations
-        ],
-        "warnings": [
-            {"kind": v.kind, "indices": list(v.indices), "message": v.message}
-            for v in report.warnings
-        ],
+        "violations": _violations_json(report.violations),
+        "warnings": _violations_json(report.warnings),
     }
 
 
@@ -269,9 +271,9 @@ def _cmd_propp(args) -> int:
     results = []
     for b in indices:
         w = check_property_p(alg, alg.unit(b), budget)
-        verified = w.kind != "none-found" and verify_property_witness(alg, w)
+        verified = verify_property_witness(alg, w)  # False for none-found
         results.append(_pwitness_doc(alg, alg.label(b), w, verified))
-    all_witnessed = all(r["kind"] != "none-found" and r["verified"] for r in results)
+    all_witnessed = all(r["verified"] for r in results)
     doc = {
         "algebra": alg.name,
         "samples": args.samples,
@@ -289,11 +291,9 @@ def _cmd_propp(args) -> int:
 
 
 def _parse_map_file(alg: GradedAlgebra, path: str) -> dict[int, Element]:
+    data = _read(path)
     try:
-        with open(path, "rb") as fh:
-            doc = json.loads(fh.read().decode("utf-8"))
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
+        doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UsageError(f"map file is not valid JSON: {exc}") from exc
     except RecursionError as exc:

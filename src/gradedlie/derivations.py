@@ -1,11 +1,14 @@
 """Homogeneous N-derivation constraint systems and their exact solution.
 
-For a degree shift gamma, the unknown is a homogeneous map given by one
+For a degree shift gamma, the unknown is a homogeneous map D given by one
 rational coefficient per (source, target) basis pair with
 deg(target) = deg(source) + gamma.  Sources whose shifted degree is absent
-from the truncation carry no unknowns at all: forcing them to zero would
-import truncation artifacts, excluding them keeps each system a relaxation
-whose solutions are compared order against order on an inner window.
+from the truncation lie outside the domain and carry no unknowns.  A safe
+tuple that holds such a source a still emits rows, with no term for D a, so
+the rows force D a = 0.  The system is therefore not a relaxation of the
+full algebra's: on a truncation, an inner derivation restricted to the
+domain can fail it away from gamma = 0 (ROADMAP item 1).  Solutions are
+compared order against order on an inner window.
 """
 
 from __future__ import annotations
@@ -284,7 +287,9 @@ class ComparisonReport:
 
 
 def _outer_radius(alg: GradedAlgebra) -> int:
-    return max(abs(c) for d in alg.degree_set for c in d)
+    """The algebra's window radius: its largest absolute degree coordinate,
+    or 1 when every degree is zero, since a ``WindowSpec`` radius is >= 1."""
+    return max(1, *(abs(c) for d in alg.degree_set for c in d))
 
 
 def _solve_above_s2(
@@ -400,7 +405,7 @@ def is_inner(alg: GradedAlgebra, phi: HomogeneousMap) -> Optional[Element]:
             for t, c in alg.bracket(alg.unit(g), alg.unit(b)).items():
                 rows[index.column(b, t)][pos] = c
     solution = linear_solve(
-        SparseMatrix.from_rows(len(generators), rows),
+        SparseMatrix(len(generators), tuple(map(SparseVector.from_dict, rows))),
         SparseVector.from_dict(rhs),
     )
     if solution is None:

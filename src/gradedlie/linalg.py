@@ -18,8 +18,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 Rational = Fraction
 
-_ZERO = Fraction(0)
-
 _RATIONAL_RE = re.compile(r"^(0|-?[1-9]\d*)(?:/([1-9]\d*))?$")
 
 
@@ -64,14 +62,6 @@ class SparseVector:
     def to_dict(self) -> dict[int, Rational]:
         return dict(self.entries)
 
-    def get(self, index: int) -> Rational:
-        for i, c in self.entries:
-            if i == index:
-                return c
-            if i > index:
-                break
-        return _ZERO
-
     def max_index(self) -> int:
         return self.entries[-1][0] if self.entries else -1
 
@@ -90,33 +80,9 @@ class SparseMatrix:
             if row.max_index() >= self.num_cols:
                 raise ValueError("row index out of range")
 
-    @classmethod
-    def from_rows(
-        cls, num_cols: int, rows: Iterable[Mapping[int, Rational] | SparseVector]
-    ) -> "SparseMatrix":
-        out = []
-        for row in rows:
-            if isinstance(row, SparseVector):
-                out.append(row)
-            else:
-                out.append(SparseVector.from_dict(row))
-        return cls(num_cols, tuple(out))
-
     @property
     def num_rows(self) -> int:
         return len(self.rows)
-
-    def apply(self, v: Mapping[int, Rational]) -> list[Rational]:
-        """Matrix-vector product, one exact value per row."""
-        out = []
-        for row in self.rows:
-            s = _ZERO
-            for i, c in row.entries:
-                x = v.get(i)
-                if x:
-                    s += c * x
-            out.append(s)
-        return out
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,14 @@ def dense_rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
+def mat_vec(m, v: dict) -> list[Fraction]:
+    """Product of a ``SparseMatrix`` and a {column: value} vector, one exact
+    value per row."""
+    return [
+        sum((c * v.get(i, 0) for i, c in row.entries), Fraction(0)) for row in m.rows
+    ]
+
+
 def dense_rref(rows: list[list], cols: int) -> tuple[list[list[Fraction]], list[int]]:
     """Textbook Gauss-Jordan over ``Fraction``: the nonzero rows of the
     reduced row-echelon form, each divided by its pivot entry, and their

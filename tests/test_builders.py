@@ -44,7 +44,8 @@ class TestBuildSv:
         alg = build_sv(WindowSpec(2), include_center=False)
         assert "C" not in {b.label for b in alg.basis}
         assert alg.dim == 14
-        assert alg.validate().empty
+        report = alg.validate()
+        assert not report.violations and not report.warnings
         out = alg.bracket(by_label(alg, "L_2"), by_label(alg, "L_-2"))
         assert out == {alg.index_of("L_0"): Fraction(-4)}
 
@@ -57,9 +58,8 @@ class TestBuildSv:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_triple_bracket_family(self, sv4, n):
         # [L_n, L_-n, L_n] = -2 n^2 L_n whenever all operands stay in-window
-        out = sv4.n_bracket(
-            [by_label(sv4, f"L_{n}"), by_label(sv4, f"L_{-n}"), by_label(sv4, f"L_{n}")]
-        )
+        ln, lmn = by_label(sv4, f"L_{n}"), by_label(sv4, f"L_{-n}")
+        out = sv4.bracket(ln, sv4.bracket(lmn, ln))
         assert out == {sv4.index_of(f"L_{n}"): Fraction(-2 * n * n)}
 
     @pytest.mark.parametrize("n", [-2, -1, 1])
@@ -102,7 +102,8 @@ class TestBuildWitt:
     def test_d2_window1_count(self):
         alg = build_witt(2, WindowSpec(1))
         assert alg.dim == 18
-        assert alg.validate().empty
+        report = alg.validate()
+        assert not report.violations and not report.warnings
 
     def test_d1_window5_fact(self):
         alg = build_witt(1, WindowSpec(5))
@@ -134,7 +135,7 @@ class TestBuildSl:
     def test_sl3_dimension_and_serre(self, sl3):
         assert sl3.dim == 8
         e1, e2 = by_label(sl3, "E(1,2)"), by_label(sl3, "E(2,3)")
-        assert sl3.n_bracket([e1, e1, e2]) == {}
+        assert sl3.bracket(e1, sl3.bracket(e1, e2)) == {}
 
     def test_sl3_e1_e2(self, sl3):
         out = sl3.bracket(by_label(sl3, "E(1,2)"), by_label(sl3, "E(2,3)"))
@@ -158,14 +159,18 @@ class TestBuildSl:
                 hf = sl3.bracket(h[i], f[j])
                 assert hf == ({k: -a * v for k, v in f[j].items()} if a else {})
                 if i != j:
+                    # ad(e_i)^(1 - a_ij) e_j = 0, and likewise for f
                     power = 1 - gcm[i][j]
-                    assert sl3.n_bracket([e[i]] * power + [e[j]]) == {}
-                    assert sl3.n_bracket([f[i]] * power + [f[j]]) == {}
+                    ee, ff = e[j], f[j]
+                    for _ in range(power):
+                        ee, ff = sl3.bracket(e[i], ee), sl3.bracket(f[i], ff)
+                    assert ee == {} and ff == {}
 
     def test_sl4_valid(self):
         alg = build_sl(4)
         assert alg.dim == 15
-        assert alg.validate().empty
+        report = alg.validate()
+        assert not report.violations and not report.warnings
 
     def test_contract(self):
         with pytest.raises(ValueError):
@@ -176,11 +181,13 @@ class TestBuildBorel:
     def test_sl2_plus(self):
         alg = build_borel(2, "+")
         assert {b.label for b in alg.basis} == {"E(1,2)", "H_1"}
-        assert alg.validate().empty
+        report = alg.validate()
+        assert not report.violations and not report.warnings
 
     def test_sl3_plus(self, borel_plus):
         assert borel_plus.dim == 5
-        assert borel_plus.validate().empty
+        report = borel_plus.validate()
+        assert not report.violations and not report.warnings
         out = borel_plus.bracket(
             by_label(borel_plus, "E(1,2)"), by_label(borel_plus, "E(2,3)")
         )
@@ -189,7 +196,8 @@ class TestBuildBorel:
     def test_sl3_minus_mirrors(self):
         minus = build_borel(3, "-")
         assert minus.dim == 5
-        assert minus.validate().empty
+        report = minus.validate()
+        assert not report.violations and not report.warnings
         out = minus.bracket(by_label(minus, "E(2,1)"), by_label(minus, "E(3,2)"))
         assert out == {minus.index_of("E(3,1)"): Fraction(-1)}
         assert all(
@@ -329,8 +337,7 @@ class TestSaveLoad:
                 break
         with pytest.raises(InvalidAlgebraError) as err:
             load(json.dumps(doc).encode())
-        assert err.value.report is not None
-        assert any(v.kind == "jacobi" for v in err.value.report.violations)
+        assert "Jacobi fails on" in str(err.value)
 
     def test_unsorted_terms_rejected(self, sv2):
         doc = json.loads(save(sv2))
@@ -386,4 +393,6 @@ class TestBuilderValidity:
         ]
         for alg in algs:
             report = alg.validate()
-            assert report.empty, (alg.name, report.violations[:2], report.warnings[:2])
+            assert not report.violations and not report.warnings, (
+                alg.name, report.violations[:2], report.warnings[:2]
+            )

@@ -275,6 +275,23 @@ class TestCompare:
         )
         assert code == 2 and "buffer" in err
 
+    @pytest.mark.parametrize("buffer", [[], ["--buffer", "0"]], ids=["default", "0"])
+    def test_all_degrees_zero(self, capsys, tmp_path, buffer):
+        # a window radius of 0 used to refuse this file with exit 2 either way
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({
+            "name": "flat", "grading_dim": 1, "truncated": False,
+            "basis": [{"label": "a", "degree": [0]}, {"label": "b", "degree": [0]}],
+            "cartan": [0, 1], "brackets": [],
+        }))
+        code, doc = run_json(
+            capsys, "compare", str(path), "--orders", "2,3", "--gamma", "0", *buffer
+        )
+        assert code == 0 and doc["equal"] is True
+        assert doc["window"] == {"outer_max_abs": 1, "inner_max_abs": 1}
+        assert doc["nullities"] == [4, 4]
+        assert doc["dims"] == {"first": 4, "second": 4, "intersection": 4}
+
     def test_gamma_and_gamma_range_exclude_each_other(self, capsys, k_file):
         result = run(
             capsys, "compare", k_file, "--orders", "2,3", "--gamma", "-2",

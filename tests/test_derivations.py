@@ -648,6 +648,17 @@ class TestCompareOrders:
         with pytest.raises(ValueError):
             compare_orders(k_alg, 2, 3, (0,), WindowSpec(2))
 
+    def test_all_degrees_zero(self):
+        # an abelian algebra graded entirely in degree 0: the window radius
+        # is 1, the least a WindowSpec takes, and the projection keeps every
+        # column
+        basis = [BasisElement("a", (0,)), BasisElement("b", (0,))]
+        alg = GradedAlgebra("flat", 1, basis, {}, [0, 1])
+        rep = compare_orders(alg, 2, 3, (0,), WindowSpec(1))
+        assert rep.outer_max_abs == rep.inner_max_abs == 1
+        assert rep.projected_pairs == UnknownIndex(alg, (0,)).pairs
+        assert rep.equal and rep.nullities == (4, 4) and rep.dims == (4, 4, 4)
+
 
 class TestIsInner:
     def test_bad_pairs_are_rejected(self, sv2):
@@ -866,3 +877,17 @@ class TestAdIsDerivation:
                 phi = HomogeneousMap(alg.zero_degree(), images)
                 assert is_nder(alg, phi, 2)
                 assert is_nder(alg, phi, 3)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: a safe tuple holding a source outside the "
+        "domain emits rows that force its image to zero",
+    )
+    def test_truncation_nonzero_shifts(self, sv2):
+        # today every ad(x)|domain below fails order 2 and S_2 is zero
+        for gamma in [(1,), (2,), (-2,), (4,)]:
+            index = UnknownIndex(sv2, gamma)
+            for x in sv2.basis_at(gamma):
+                images = {b: sv2.bracket(unit(x), unit(b)) for b in index.domain}
+                assert is_nder(sv2, HomogeneousMap(gamma, images), 2)
+            assert solve_nder(sv2, 2, gamma).dim > 0

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import dense_rank, dense_rref
+from oracle import dense_rank, dense_rref, mat_vec
 from gradedlie import linalg
 from gradedlie.linalg import (
     Echelon,
@@ -22,8 +22,13 @@ from gradedlie.linalg import (
 )
 
 
+def matrix(num_cols, rows):
+    """A SparseMatrix from {column: value} rows."""
+    return SparseMatrix(num_cols, tuple(map(SparseVector.from_dict, rows)))
+
+
 def mat(rows, num_cols):
-    return SparseMatrix.from_rows(
+    return matrix(
         num_cols,
         [{i: Fraction(v) for i, v in enumerate(row) if v} for row in rows],
     )
@@ -37,7 +42,7 @@ def vec(values):
 
 def as_lists(m: SparseMatrix):
     return [
-        [row.get(c) for c in range(m.num_cols)] for row in m.rows
+        [row.to_dict().get(c, 0) for c in range(m.num_cols)] for row in m.rows
     ]
 
 
@@ -78,7 +83,7 @@ class TestSparseTypes:
 def rref(m: SparseMatrix):
     """Rank and reduced rows of ``m`` from the solver's elimination."""
     reduced, pivots = Echelon(m.num_cols, (r.entries for r in m.rows)).reduced()
-    return len(pivots), SparseMatrix.from_rows(m.num_cols, reduced)
+    return len(pivots), matrix(m.num_cols, reduced)
 
 
 class TestRref:
@@ -173,36 +178,36 @@ def random_matrix(rng: random.Random, max_rows=6, max_cols=7) -> SparseMatrix:
                 if num:
                     row[c] = Fraction(num, rng.choice([1, 1, 2, 3]))
         out.append(row)
-    return SparseMatrix.from_rows(cols, out)
+    return matrix(cols, out)
 
 
 def check_linalg_properties(m: SparseMatrix) -> None:
     basis = nullspace(m)
     # rank-nullity against the independent dense elimination
-    dense = [[row.get(c) for c in range(m.num_cols)] for row in m.rows]
+    dense = as_lists(m)
     rank = dense_rank(dense)
     assert m.num_cols - basis.dim == rank
     # exact residuals
     for v in basis.vectors:
-        assert all(r == 0 for r in m.apply(v.to_dict()))
+        assert all(r == 0 for r in mat_vec(m, v.to_dict()))
     rng = random.Random(m.num_cols)
     # solve meets a consistent right-hand side exactly, free columns at zero
     x0 = {c: Fraction(rng.randrange(-3, 4)) for c in range(m.num_cols)}
-    b = m.apply(x0)
+    b = mat_vec(m, x0)
     x = solve(m, SparseVector.from_dict(dict(enumerate(b))))
-    assert x is not None and m.apply(x.to_dict()) == b
-    assert all(x.get(v.max_index()) == 0 for v in basis.vectors)
+    assert x is not None and mat_vec(m, x.to_dict()) == b
+    assert all(v.max_index() not in x.to_dict() for v in basis.vectors)
     # and finds none exactly when the right-hand side raises the rank
     b = [Fraction(rng.randrange(-2, 3)) for _ in m.rows]
     x = solve(m, SparseVector.from_dict(dict(enumerate(b))))
     augmented = [row + [v] for row, v in zip(dense, b)]
     assert (x is None) == (dense_rank(augmented) > rank)
-    assert x is None or m.apply(x.to_dict()) == b
+    assert x is None or mat_vec(m, x.to_dict()) == b
     # repeated, rescaled and reordered rows leave the canonical basis unchanged
     rows = [r.to_dict() for r in m.rows]
     rows += [{i: -2 * c for i, c in r.items()} for r in rows]
     rng.shuffle(rows)
-    assert nullspace(SparseMatrix.from_rows(m.num_cols, rows)) == basis
+    assert nullspace(matrix(m.num_cols, rows)) == basis
 
 
 @settings(max_examples=120, deadline=None)
@@ -249,7 +254,7 @@ def int_matrix(rng: random.Random, max_rows=6, max_cols=7) -> SparseMatrix:
 
 
 def as_fractions(m: SparseMatrix) -> SparseMatrix:
-    return SparseMatrix.from_rows(m.num_cols, [r.to_dict() for r in m.rows])
+    return matrix(m.num_cols, [r.to_dict() for r in m.rows])
 
 
 def all_fractions(vectors) -> bool:
@@ -301,9 +306,7 @@ def check_rref_invariant(m: SparseMatrix) -> None:
     pivot column: the property that lets one sweep clear a new row."""
     reduced, pivots = Echelon(m.num_cols, (r.entries for r in m.rows)).reduced()
     assert pivots == sorted(set(pivots))
-    assert len(pivots) == dense_rank(
-        [[row.get(c) for c in range(m.num_cols)] for row in m.rows]
-    )
+    assert len(pivots) == dense_rank(as_lists(m))
     for row, p in zip(reduced, pivots):
         assert min(row) == p and row[p] == 1
         assert all(v != 0 for v in row.values())
@@ -334,7 +337,7 @@ def test_echelon_is_incremental(seed, ints):
         basis = ech.nullspace()
         assert basis.dim == m.num_cols - ech.rank
         for v in basis.vectors:
-            assert not any(prefix.apply(v.to_dict()))
+            assert not any(mat_vec(prefix, v.to_dict()))
 
 
 # Entries mix zeros and small values, so rows are often dependent, with

@@ -1,10 +1,11 @@
-"""Guards for the repository's tooling outside ``src/``."""
+"""Guards for the repository's tooling and documentation around ``src/``."""
 
 import argparse
 import ast
 import importlib.util
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 from gradedlie import cli
@@ -98,3 +99,64 @@ def test_src_has_no_unused_imports():
                 imported.update(a.asname or a.name for a in node.names)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported - used - {"annotations"} == set(), path.name
+
+
+def _public_defs(tree):
+    """Each public module-level function, and each method of a public class,
+    as (qualified name, def node)."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _references(node, aliases):
+    """Every name that ``node`` reads, bare or as an attribute, with an
+    ``import ... as`` alias read as the name it stands for."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield aliases.get(sub.id, sub.id)
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_every_public_name_has_a_caller():
+    # Each public function and method in src/ is read somewhere in src/
+    # outside its own body, is the console script, or is named in README's
+    # code.  __init__.py only re-exports, so its imports call nothing.
+    # Names are matched as bare strings: a method that shares its name with
+    # a method of a builtin type (a dict's get, a bytes' decode) counts as
+    # called wherever that one is, so such a method can slip through.
+    readme = (ROOT / "README.md").read_text()
+    code = re.findall(r"```.*?```|`[^`\n]+`", readme, re.S)
+    named = set(re.findall(r"\w+", " ".join(code)))
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    named.update(re.findall(r'= "gradedlie\.\w+:(\w+)"', pyproject))
+    trees = {
+        p.name: ast.parse(p.read_text())
+        for p in sorted(SRC.glob("*.py"))
+        if p.name != "__init__.py"
+    }
+    aliases = {
+        module: {
+            a.asname: a.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for a in node.names
+            if a.asname
+        }
+        for module, tree in trees.items()
+    }
+    reads = Counter()
+    for module, tree in trees.items():
+        reads.update(_references(tree, aliases[module]))
+    uncalled = []
+    for module, tree in trees.items():
+        for qualname, node in _public_defs(tree):
+            own = Counter(_references(node, aliases[module]))[node.name]
+            if reads[node.name] == own and node.name not in named:
+                uncalled.append(f"{module}: {qualname}")
+    assert uncalled == []
