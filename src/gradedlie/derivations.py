@@ -139,6 +139,18 @@ def constraint_rows(index: UnknownIndex, order: int) -> Iterator[Row]:
     innermost elements, reach negated suffix states and so the same primitive
     rows; the walk skips a == b, whose rows vanish, and skips a < b whenever
     the mirror is itself safe (deg a is a safe sum).
+
+    A suffix state of at least 3 elements that is extended further is also
+    skipped when an earlier one had the same key: the remaining depth, the
+    degree sum, and the primitive form of the state (the plain element plus
+    the insertions summed per (column, basis index), divided by their gcd,
+    lead entry positive).  Past the innermost pair nothing in the subtree
+    reads the tuple itself, and every row is linear in the state, so the
+    subtree's rows depend on the key alone, up to one scalar.  Equal depth
+    means neither state lies under the other, so the depth-first walk has
+    finished the earlier subtree and every row of the skipped one is a
+    multiple of a row already yielded: the walk yields the same rows in the
+    same order.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
@@ -169,6 +181,18 @@ def constraint_rows(index: UnknownIndex, order: int) -> Iterator[Row]:
     innermost = {b for members, _, _ in ext(alg.zero_degree()) for b in members}
 
     seen: set[Row] = set()
+    walked: set[tuple] = set()
+
+    def primitive_state(plain: dict[int, int], ins) -> tuple:
+        merged: dict[tuple[int, int], int] = {}
+        for col, elt in ins:
+            for k, v in elt.items():
+                merged[col, k] = merged.get((col, k), 0) + v
+        entries = sorted(plain.items()) + sorted(kv for kv in merged.items() if kv[1])
+        g = math.gcd(*(v for _, v in entries))
+        if entries and entries[0][1] < 0:
+            g = -g
+        return tuple((k, v // g) for k, v in entries)
 
     def emit(targets: tuple[int, ...], plain: dict[int, int], ins) -> Iterator[Row]:
         for t in targets:
@@ -215,8 +239,13 @@ def constraint_rows(index: UnknownIndex, order: int) -> Iterator[Row]:
                     continue  # nothing can emerge from an all-zero suffix
                 if level == 1:
                     yield from emit(targets, new_plain, new_ins)
-                else:
-                    yield from walk(level - 1, s2, new_plain, new_ins, -1)
+                    continue
+                if level <= order - 2:  # the new suffix has >= 3 elements
+                    key = (level, s2, primitive_state(new_plain, new_ins))
+                    if key in walked:
+                        continue  # its rows are multiples of rows already met
+                    walked.add(key)
+                yield from walk(level - 1, s2, new_plain, new_ins, -1)
 
     try:
         for members, s2, _ in ext(alg.zero_degree()):
@@ -319,6 +348,11 @@ def _solve_above_s2(
     return examined, ech.nullspace()
 
 
+# The last order-2 solve (alg, gamma, index, rows, S₂); on the algebra it
+# would make a reference cycle, since the index refers to the algebra.
+_last_s2: Optional[tuple] = None
+
+
 def compare_orders(
     alg: GradedAlgebra,
     order1: int,
@@ -330,7 +364,9 @@ def compare_orders(
 
     Every order-2 solution is an order-N solution (S₂ ⊆ S_N, by Leibniz), so
     S₂ is solved in full once and lets each higher order stop its walk early
-    (see ``_solve_above_s2``).
+    (see ``_solve_above_s2``).  A call on the same algebra object at the same
+    gamma as the last one reuses its order-2 solve, so (2, 3) then (2, 4)
+    solve order 2 once; the result does not depend on the reuse.
 
     If the projected row spaces differ, a witness vector lying in exactly one
     of them is reported.
@@ -340,9 +376,14 @@ def compare_orders(
     outer = _outer_radius(alg)
     if inner.max_abs > outer:
         raise ValueError("inner window exceeds the algebra window")
-    m, index = build_constraints(alg, 2, gamma)
-    s2 = nullspace(m)
-    solved = {2: (m.num_rows, s2)}
+    global _last_s2
+    gamma = tuple(gamma)
+    memo = _last_s2
+    if memo is None or memo[0] is not alg or memo[1] != gamma:
+        m, index = build_constraints(alg, 2, gamma)
+        memo = _last_s2 = (alg, gamma, index, m.num_rows, nullspace(m))
+    index, rows, s2 = memo[2:]
+    solved = {2: (rows, s2)}
     for order in (order1, order2):
         if order not in solved:
             solved[order] = _solve_above_s2(index, order, s2)
@@ -374,7 +415,7 @@ def compare_orders(
     return ComparisonReport(
         algebra=alg.name,
         orders=(order1, order2),
-        gamma=tuple(gamma),
+        gamma=gamma,
         outer_max_abs=outer,
         inner_max_abs=inner.max_abs,
         unknowns=len(index),

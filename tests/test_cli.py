@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 
@@ -428,6 +429,36 @@ class TestDeterminism:
             capsys, "propp", sv2_file, "--all-basis", "--samples", "5", "--seed", "9"
         )
         assert doc1 == doc2
+
+    # Frozen report digests.  They pin the "constraints" counts too: the rows
+    # examined per order in compare, the distinct rows in solve.
+    @pytest.mark.parametrize(
+        "builtin,args,exit_code,digest",
+        [
+            (("sv", "--max", "3"),
+             ("compare", "--orders", "2,3", "--gamma-range", "-3..3"), 0,
+             "ca560e20e5324b3ae963f39d4e75eccbd4f8ebec49b1c6ee8f02aa0b1bbb1b12"),
+            (("sv", "--max", "3"),
+             ("compare", "--orders", "2,4", "--gamma-range", "-3..3"), 0,
+             "e27737b252cb6274ea4ce408ad8cc96e8beb84a77987b4ada24daa7b72058dfc"),
+            (("K",), ("compare", "--orders", "2,3", "--gamma=-2"), 1,
+             "d8df9e9cbfc6177c194987e4d46dd13fc67aa22b4407a38982f12e8a21e898a6"),
+            (("sv", "--max", "4"), ("solve", "--order", "4", "--gamma", "0"), 0,
+             "59e5484c6c9c9cc20a78a2d3d20a3606cbc8c74f2d96f335d50424eabd29966c"),
+            (("sv", "--max", "4"), ("solve", "--order", "4", "--gamma", "1"), 0,
+             "9e0c1623ba2f6f7a49454d6580f11f3ad24f85f4d22d4c81cec3923d7a2e4133"),
+        ],
+        ids=["sv3-compare-2-3", "sv3-compare-2-4", "K-witness", "sv4-solve-4-g0",
+             "sv4-solve-4-g1"],
+    )
+    def test_report_bytes_are_frozen(
+        self, capsys, tmp_path, builtin, args, exit_code, digest
+    ):
+        path, report = str(tmp_path / "alg.json"), tmp_path / "report.json"
+        assert run(capsys, "builtin", *builtin, "-o", path)[0] == 0
+        command, *rest = args
+        assert run(capsys, command, path, *rest, "-o", str(report))[0] == exit_code
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
 class TestUsage:

@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -193,13 +194,21 @@ def _compare_exits_early(alg):
         "compare_orders-early-exit",
     ],
 )
-def test_walk_leaves_no_cyclic_garbage(sv2, run):
+def test_walk_leaves_no_cyclic_garbage(run):
     # everything a call allocates is freed by reference counting on return,
-    # also when the consumer stops the row walk early
+    # also when the consumer stops the row walk early; the algebra, and the
+    # order-2 solve compare_orders keeps of it, go once the next comparison
+    # replaces that solve
+    alg, other = builders.build_sv(WindowSpec(2)), builders.build_counterexample_k()
     gc.collect()
     gc.disable()
     try:
-        run(sv2)
+        run(alg)
+        assert gc.collect() == 0
+        dropped = weakref.ref(alg)
+        del alg
+        compare_orders(other, 2, 3, (0,), WindowSpec(1))
+        assert dropped() is None
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -218,10 +227,14 @@ def primitive(dense_row) -> tuple[tuple[int, int], ...]:
 
 
 _ORACLE_ROW_FAMILIES = {
-    "K": (builders.build_counterexample_k, (2, 3, 4)),
+    # K at order 5: the suffix skip must key on the remaining depth, or it
+    # skips states whose earlier twin is still being walked
+    "K": (builders.build_counterexample_k, (2, 3, 4, 5)),
     "sl2": (lambda: builders.build_sl(2), (2, 3, 4)),
     "sl3": (lambda: builders.build_sl(3), (2, 3)),
-    "sv1": (lambda: builders.build_sv(WindowSpec(1)), (2, 3)),
+    # sv1 at order 4: the walk skips 57 repeated suffix states at the zero
+    # shift alone, and the oracle takes about 2 s over every shift
+    "sv1": (lambda: builders.build_sv(WindowSpec(1)), (2, 3, 4)),
     "witt1_1": (lambda: builders.build_witt(1, WindowSpec(1)), (2, 3, 4)),
 }
 
@@ -383,6 +396,34 @@ def test_solver_and_is_inner_match_the_oracle(data):
     if x is not None:
         for b in {b for b, _ in pairs}:
             assert dense_bracket(alg, x, unit(b)) == images.get(b, {})
+
+
+def test_order2_solve_is_shared_by_consecutive_calls_only():
+    # compare_orders reuses its last order-2 solve on the same algebra object
+    # at the same gamma; equal algebras and other shifts solve afresh
+    def fresh(build, gamma, orders):
+        derivations._last_s2 = None  # as in a new process
+        return compare_orders(build(), *orders, gamma, WindowSpec(1))
+
+    sv2 = functools.partial(builders.build_sv, WindowSpec(2))
+    builds = [sv2, sv2, functools.partial(builders.build_witt, 1, WindowSpec(2))]
+    algs = [build() for build in builds]
+    assert algs[0] == algs[1] and algs[0] is not algs[1]
+    steps = [
+        (0, (1,), (2, 3)), (0, (1,), (2, 4)), (1, (1,), (2, 3)), (0, (1,), (3, 4)),
+        (0, (-1,), (2, 4)), (0, (-1,), (2, 3)), (2, (-1,), (2, 4)), (0, (1,), (2, 4)),
+        (0, (1,), (4, 3)), (2, (1,), (2, 3)), (2, (1,), (2, 4)),
+    ]
+    want = [fresh(builds[i], gamma, orders) for i, gamma, orders in steps]
+    build = derivations.build_constraints
+    with mock.patch.object(derivations, "build_constraints", wraps=build) as spy:
+        got = [compare_orders(algs[i], *orders, gamma, WindowSpec(1))
+               for i, gamma, orders in steps]
+    assert got == want
+    # one order-2 build per run of consecutive calls on one (algebra, gamma)
+    runs = [key for key, _ in itertools.groupby((i, g) for i, g, _ in steps)]
+    calls = [(id(c.args[0]),) + c.args[1:] for c in spy.call_args_list]
+    assert calls == [(id(algs[i]), 2, g) for i, g in runs]
 
 
 def test_certified_exit_examines_few_rows():
