@@ -9,9 +9,11 @@ truncation evaluates exactly, for the constraint walk and ``validate`` alike.
 
 ``brackets`` holds the constants as exact ``Fraction`` values.  Every
 evaluation reads one private integer table of the constants times their least
-common denominator ``scale``: the walk and the Jacobi check use it as is (a
-uniformly scaled bracket has the same Jacobi zeros and N-derivation spaces),
-and ``bracket`` divides by ``scale`` once.
+common denominator ``scale``, with one dict per element: entry j of element
+i's dict holds the terms of scale·[e_i, e_j], for both key orders, so a lookup
+builds no pair key.  The walk and the Jacobi check use it as is (a uniformly
+scaled bracket has the same Jacobi zeros and N-derivation spaces), and
+``bracket`` divides by ``scale`` once.
 """
 
 from __future__ import annotations
@@ -129,14 +131,14 @@ class GradedAlgebra:
         self._by_degree = {d: tuple(v) for d, v in by_degree.items()}
         self._degree_set = frozenset(self._by_degree)
         self._label_index = {b.label: pos for pos, b in enumerate(self.basis)}
-        # The walk's table: scale times every constant, both key orders.
+        # The integer table: _ad[i][j] holds scale·[e_i, e_j], both key orders.
         scale = math.lcm(*(c.denominator for ts in clean.values() for _, c in ts))
-        table: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+        ad: list[dict[int, tuple[tuple[int, int], ...]]] = [{} for _ in range(n)]
         for (i, j), terms in clean.items():
             scaled = tuple((k, c.numerator * scale // c.denominator) for k, c in terms)
-            table[(i, j)] = scaled
-            table[(j, i)] = tuple((k, -c) for k, c in scaled)
-        self._table = table
+            ad[i][j] = scaled
+            ad[j][i] = tuple((k, -c) for k, c in scaled)
+        self._ad = ad
         self._scale = scale
 
     # -- plain accessors -------------------------------------------------
@@ -191,10 +193,10 @@ class GradedAlgebra:
         """scale·[e_i, x] for any exact-valued x (int or Fraction), without
         input validation (hot path); the constraint walk passes ints and
         gets ints back."""
-        table = self._table
+        ad_i = self._ad[i]
         out: dict[int, Rational] = {}
         for j, c in x.items():
-            terms = table.get((i, j))
+            terms = ad_i.get(j)
             if terms:
                 for k, s in terms:
                     v = out.get(k)
@@ -295,7 +297,7 @@ class GradedAlgebra:
 
         for h in sorted(self.cartan):
             for x in range(self.dim):
-                terms = self._table.get((h, x))
+                terms = self._ad[h].get(x)
                 if terms and (len(terms) > 1 or terms[0][0] != x):
                     violations.append(
                         Violation(
@@ -310,35 +312,36 @@ class GradedAlgebra:
         # [e_a, [e_b, e_c]] is safe: ok[d][k] = is_safe_sum(d, deg k) for each
         # present degree d.  Past ok_i[j], deg i + deg j is absent only on a
         # complete algebra, where every sum is safe: its row reads all true.
+        # A triple whose three inner brackets all vanish is skipped: its
+        # Jacobi sum is zero.
         degs = self._degrees
-        table = {key: dict(terms) for key, terms in self._table.items()}
-        apply_basis = self._apply_basis
+        ad = self._ad
         n = self.dim
         ok = {d: [self.is_safe_sum(d, e) for e in degs] for d in self._degree_set}
         everywhere = [True] * n
         for i in range(n):
             ok_i = ok[degs[i]]
+            ad_i = ad[i]
             for j in range(i, n):
                 if not ok_i[j]:
                     continue
                 ok_j = ok[degs[j]]
                 ok_ij = ok.get(add_degrees(degs[i], degs[j]), everywhere)
+                ad_j = ad[j]
+                ij = ad_i.get(j)
                 for k in range(j, n):
                     if not (ok_j[k] and ok_i[k] and ok_ij[k]):
                         continue
+                    jk, ki = ad_j.get(k), ad[k].get(i)
+                    if not (ij or jk or ki):
+                        continue
                     # Integer table: every term carries the same factor scale**2.
                     total: dict[int, int] = {}
-                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        inner = table.get((b, c))
-                        if not inner:
-                            continue
-                        for t, v in apply_basis(a, inner).items():
-                            nv = total.get(t, 0) + v
-                            if nv:
-                                total[t] = nv
-                            else:
-                                total.pop(t, None)
-                    if total:
+                    for a, inner in ((i, jk), (j, ki), (k, ij)):
+                        for m, c in inner or ():
+                            for t, v in ad[a].get(m, ()):
+                                total[t] = total.get(t, 0) + c * v
+                    if any(total.values()):
                         violations.append(
                             Violation(
                                 "jacobi",

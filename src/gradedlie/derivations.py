@@ -151,14 +151,25 @@ def constraint_rows(index: UnknownIndex, order: int) -> Iterator[Row]:
     finished the earlier subtree and every row of the skipped one is a
     multiple of a row already yielded: the walk yields the same rows in the
     same order.
+
+    The last step is fused: for each element b that completes a tuple, the
+    walk scatters [b, plain] at column (k, t) for each basis element k of it,
+    [b, elt] at each insertion's column and [b', plain] at column (b, b') for
+    each target b' of b straight into one row per target t, then normalises
+    each row as above.  These are the exact int sums that building b's suffix
+    state and then reading each target off it would form, added in another
+    order, and each row is sorted before it is keyed, so the rows and their
+    order are the same.  The new rows of one suffix state are collected in a
+    list and yielded from it; a consumer that stops early still counts only
+    the rows it reads.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
     alg = index.alg
     gamma = index.gamma
     candidates = index.by_source
-    col_of = index.by_target
     by_deg = {d: alg.basis_at(d) for d in sorted(alg.degree_set)}
+    ad = alg._ad
     apply_basis = alg._apply_basis
     is_safe_sum = alg.is_safe_sum
 
@@ -194,37 +205,51 @@ def constraint_rows(index: UnknownIndex, order: int) -> Iterator[Row]:
             g = -g
         return tuple((k, v // g) for k, v in entries)
 
-    def emit(targets: tuple[int, ...], plain: dict[int, int], ins) -> Iterator[Row]:
-        for t in targets:
-            cols = col_of[t]
-            row = {cols[k]: c for k, c in plain.items()}
-            for col, elt in ins:
-                v = elt.get(t)
-                if v:
-                    cur = row.get(col)
-                    nv = -v if cur is None else cur - v
-                    if nv:
-                        row[col] = nv
-                    else:
-                        del row[col]
-            if not row:
-                continue
-            key = tuple(sorted(row.items()))
-            g = math.gcd(*row.values())
-            if key[0][1] < 0:
-                g = -g
-            if g != 1:
-                key = tuple((col, v // g) for col, v in key)
-            if key not in seen:
-                seen.add(key)
-                yield key
-
     def walk(level: int, s: Degree, plain: dict[int, int], ins, inner: int):
         # inner is the innermost element on the first step, -1 further out.
+        last: list[Row] = []  # the new rows of the last step, at level 1
+        if level == 1:
+            ins_terms = tuple((col, j, c) for col, elt in ins for j, c in elt.items())
         for members, s2, targets in ext(s):
             for b in members:
                 if b <= inner and (b == inner or b in innermost):
                     continue  # the mirror tuple gives the same rows
+                if level == 1:
+                    # The fused last step: one row per target t.
+                    ad_b = ad[b]
+                    rows: dict[int, dict[int, int]] = {t: {} for t in targets}
+                    for j, c in plain.items():
+                        for k, v in ad_b.get(j, ()):
+                            for col, t in candidates[k]:
+                                row = rows[t]
+                                row[col] = row.get(col, 0) + c * v
+                    for col, j, c in ins_terms:
+                        for t, v in ad_b.get(j, ()):
+                            row = rows[t]
+                            row[col] = row.get(col, 0) - c * v
+                    for col, bp in candidates[b]:
+                        ad_bp = ad[bp]
+                        for j, c in plain.items():
+                            for t, v in ad_bp.get(j, ()):
+                                row = rows[t]
+                                row[col] = row.get(col, 0) - c * v
+                    for t in targets:
+                        row = rows[t]
+                        if 0 in row.values():  # cancelled entries
+                            row = {col: v for col, v in row.items() if v}
+                        if not row:
+                            continue
+                        items = sorted(row.items())
+                        g = math.gcd(*row.values())
+                        if items[0][1] < 0:
+                            g = -g
+                        if g != 1:
+                            items = [(col, v // g) for col, v in items]
+                        key = tuple(items)
+                        if key not in seen:
+                            seen.add(key)
+                            last.append(key)
+                    continue
                 new_plain = apply_basis(b, plain)
                 new_ins = []
                 for col, elt in ins:
@@ -237,15 +262,13 @@ def constraint_rows(index: UnknownIndex, order: int) -> Iterator[Row]:
                         new_ins.append((col, e2))
                 if not new_plain and not new_ins:
                     continue  # nothing can emerge from an all-zero suffix
-                if level == 1:
-                    yield from emit(targets, new_plain, new_ins)
-                    continue
                 if level <= order - 2:  # the new suffix has >= 3 elements
                     key = (level, s2, primitive_state(new_plain, new_ins))
                     if key in walked:
                         continue  # its rows are multiples of rows already met
                     walked.add(key)
                 yield from walk(level - 1, s2, new_plain, new_ins, -1)
+        yield from last
 
     try:
         for members, s2, _ in ext(alg.zero_degree()):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -306,11 +306,51 @@ def corrupted(alg, rng):
     )
 
 
+def off_degree(alg, rng):
+    """``alg`` with one bracket term moved to a basis element off the degree
+    sum."""
+    brackets = dict(alg.brackets)
+    key = rng.choice(sorted(brackets))
+    (k, c), *rest = brackets[key]
+    taken = {t for t, _ in rest}
+    moved = rng.choice(
+        [x for x in range(alg.dim)
+         if alg.degree_of(x) != alg.degree_of(k) and x not in taken]
+    )
+    brackets[key] = tuple(sorted([(moved, c), *rest]))
+    return GradedAlgebra(
+        alg.name, alg.grading_dim, alg.basis, brackets, alg.cartan, alg.truncated
+    )
+
+
+def sparse_non_lie(seed):
+    """A complete graded algebra with random sparse brackets, so Jacobi can
+    fail on a triple with only one nonzero inner bracket; in a Lie algebra
+    such a triple never fails."""
+    rng = random.Random(seed)
+    degrees = [1, 1, 1, 2, 2, 3, 3, 4]
+    rng.shuffle(degrees)
+    basis = [BasisElement(f"e{p}", (d,)) for p, d in enumerate(degrees)]
+    brackets = {}
+    for i, j in combinations(range(len(basis)), 2):
+        at = [k for k, d in enumerate(degrees) if d == degrees[i] + degrees[j]]
+        if at and rng.random() < 0.5:
+            brackets[(i, j)] = ((rng.choice(at), Fraction(rng.choice((-2, 1, 3)))),)
+    return GradedAlgebra("sparse", 1, basis, brackets, [])
+
+
 _JACOBI_FAMILIES = {
     "sv2": lambda: builders.build_sv(WindowSpec(2)),
     "sv2-nocenter": lambda: builders.build_sv(WindowSpec(2), include_center=False),
     "witt1_3": lambda: builders.build_witt(1, WindowSpec(3)),
     "witt2_1": lambda: builders.build_witt(2, WindowSpec(1)),
+    # a grading fault on a truncation: Jacobi reads the misplaced term too
+    "witt2_1-off-degree": lambda: off_degree(
+        builders.build_witt(2, WindowSpec(1)), random.Random(0)
+    ),
+    # seed 7 fails on triples (i, j, k) with only [i, j], only [j, k] and
+    # only [k, i] nonzero: each term the Jacobi skip reads is needed
+    "sparse-non-lie": lambda: sparse_non_lie(7),
     "sl3": lambda: builders.build_sl(3),
     "borel+3": lambda: builders.build_borel(3, "+"),
     "sl2": lambda: builders.build_sl(2),
