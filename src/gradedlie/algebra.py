@@ -13,12 +13,15 @@ common denominator ``scale``, with one dict per element: entry j of element
 i's dict holds the terms of scale·[e_i, e_j], for both key orders, so a lookup
 builds no pair key.  The walk and the Jacobi check use it as is (a uniformly
 scaled bracket has the same Jacobi zeros and N-derivation spaces), and
-``bracket`` divides by ``scale`` once.
+``bracket`` divides by ``scale`` once.  The pass that builds the table also
+records each bracket term off the degree sum: ``validate`` reports them, and
+the solver refuses such an algebra.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -38,7 +41,7 @@ class InvalidAlgebraError(Exception):
 
 
 def add_degrees(a: Degree, b: Degree) -> Degree:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def sub_degrees(a: Degree, b: Degree) -> Degree:
@@ -131,15 +134,31 @@ class GradedAlgebra:
         self._by_degree = {d: tuple(v) for d, v in by_degree.items()}
         self._degree_set = frozenset(self._by_degree)
         self._label_index = {b.label: pos for pos, b in enumerate(self.basis)}
-        # The integer table: _ad[i][j] holds scale·[e_i, e_j], both key orders.
+        # The integer table: _ad[i][j] holds scale·[e_i, e_j], both key orders;
+        # the same pass records each term (i, j, k) off the degree sum.
         scale = math.lcm(*(c.denominator for ts in clean.values() for _, c in ts))
         ad: list[dict[int, tuple[tuple[int, int], ...]]] = [{} for _ in range(n)]
+        degs = self._degrees
+        off_degree = []
         for (i, j), terms in clean.items():
             scaled = tuple((k, c.numerator * scale // c.denominator) for k, c in terms)
             ad[i][j] = scaled
             ad[j][i] = tuple((k, -c) for k, c in scaled)
+            want = add_degrees(degs[i], degs[j])
+            for k, _ in terms:
+                if degs[k] != want:
+                    off_degree.append((i, j, k))
         self._ad = ad
         self._scale = scale
+        self._grading_violations = tuple(
+            Violation(
+                "grading",
+                (i, j, k),
+                f"[{self.label(i)}, {self.label(j)}] has a term at "
+                f"{self.label(k)} off the degree sum",
+            )
+            for i, j, k in sorted(off_degree)
+        )
 
     # -- plain accessors -------------------------------------------------
 
@@ -189,27 +208,6 @@ class GradedAlgebra:
 
     # -- bracket evaluation ----------------------------------------------
 
-    def _apply_basis(self, i: int, x: Mapping[int, Rational]) -> dict[int, Rational]:
-        """scale·[e_i, x] for any exact-valued x (int or Fraction), without
-        input validation (hot path); the constraint walk passes ints and
-        gets ints back."""
-        ad_i = self._ad[i]
-        out: dict[int, Rational] = {}
-        for j, c in x.items():
-            terms = ad_i.get(j)
-            if terms:
-                for k, s in terms:
-                    v = out.get(k)
-                    if v is None:
-                        out[k] = c * s
-                    else:
-                        nv = v + c * s
-                        if nv:
-                            out[k] = nv
-                        else:
-                            del out[k]
-        return out
-
     def _check_element(self, x: Element) -> None:
         n = len(self.basis)
         for k, c in x.items():
@@ -224,12 +222,14 @@ class GradedAlgebra:
         self._check_element(y)
         out: Element = {}
         for i, cx in x.items():
-            for k, s in self._apply_basis(i, y).items():
-                nv = out.get(k, 0) + cx * s
-                if nv:
-                    out[k] = nv
-                else:
-                    del out[k]
+            ad_i = self._ad[i]
+            for j, cy in y.items():
+                for k, s in ad_i.get(j, ()):
+                    nv = out.get(k, 0) + cx * cy * s
+                    if nv:
+                        out[k] = nv
+                    else:
+                        del out[k]
         scale = self._scale
         return {k: Fraction(v, scale) for k, v in out.items()}
 
@@ -258,22 +258,9 @@ class GradedAlgebra:
     def validate(self) -> ValidationReport:
         """Check grading, Jacobi on fully checkable triples, Cartan degrees and
         the simultaneous-eigenvector condition.  Violations are data, not errors."""
-        violations: list[Violation] = []
+        violations = list(self._grading_violations)
         warnings: list[Violation] = []
         zero = self.zero_degree()
-
-        for (i, j), terms in sorted(self.brackets.items()):
-            want = add_degrees(self._degrees[i], self._degrees[j])
-            for k, _ in terms:
-                if self._degrees[k] != want:
-                    violations.append(
-                        Violation(
-                            "grading",
-                            (i, j, k),
-                            f"[{self.label(i)}, {self.label(j)}] has a term at "
-                            f"{self.label(k)} off the degree sum",
-                        )
-                    )
 
         for h in sorted(self.cartan):
             if self._degrees[h] != zero:

@@ -13,7 +13,6 @@ compared order against order on an inner window.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,6 +33,7 @@ from .linalg import (
     SparseMatrix,
     SparseVector,
     SubspaceBasis,
+    _make_primitive,
     nullspace,
     project_basis,
     row_space_equal,
@@ -76,6 +76,10 @@ class UnknownIndex:
     def __init__(self, alg: GradedAlgebra, gamma: Degree):
         if len(gamma) != alg.grading_dim:
             raise ValueError("gamma length must equal grading_dim")
+        if alg._grading_violations:
+            raise ValueError(
+                f"ill-graded algebra: {alg._grading_violations[0].message}"
+            )
         self.alg = alg
         self.gamma = tuple(gamma)
         pairs: list[tuple[int, int]] = []
@@ -140,28 +144,39 @@ def constraint_rows(index: UnknownIndex, order: int) -> Iterator[Row]:
     rows; the walk skips a == b, whose rows vanish, and skips a < b whenever
     the mirror is itself safe (deg a is a safe sum).
 
-    A suffix state of at least 3 elements that is extended further is also
+    The walk extends tuples leftward and carries, for each right part, its
+    suffix state: one flat int dict keyed by (column, basis index).  Column
+    -1 holds the nested bracket of the right part (the plain element);
+    column c holds the sum of the nested brackets with an element replaced
+    by its target in unknown c, over every position where c's source sits.
+    Every row is linear in the state, so insertions at one column may be
+    summed.  Extending by b brackets every entry with b, and a plain entry
+    j also adds [b', e_j] at column (b, b') for each target b' of b.  A
+    state whose entries all cancel is not extended: its rows are all zero.
+
+    A suffix state of at least 3 elements that is extended further is made
+    primitive in place (``linalg._make_primitive``: divided by the gcd of its
+    entries, the entry at its least key positive), which scales every row
+    below it by one nonzero scalar that row normalisation removes.  It is
     skipped when an earlier one had the same key: the remaining depth, the
-    degree sum, and the primitive form of the state (the plain element plus
-    the insertions summed per (column, basis index), divided by their gcd,
-    lead entry positive).  Past the innermost pair nothing in the subtree
-    reads the tuple itself, and every row is linear in the state, so the
-    subtree's rows depend on the key alone, up to one scalar.  Equal depth
-    means neither state lies under the other, so the depth-first walk has
-    finished the earlier subtree and every row of the skipped one is a
-    multiple of a row already yielded: the walk yields the same rows in the
-    same order.
+    degree sum and the primitive state.  Past the innermost pair nothing in
+    the subtree reads the tuple itself, so the subtree's rows depend on the
+    key alone, up to one scalar.  Equal depth means neither state lies under
+    the other, so the depth-first walk has finished the earlier subtree and
+    every row of the skipped one is a multiple of a row already yielded: the
+    walk yields the same rows in the same order.
 
     The last step is fused: for each element b that completes a tuple, the
-    walk scatters [b, plain] at column (k, t) for each basis element k of it,
-    [b, elt] at each insertion's column and [b', plain] at column (b, b') for
-    each target b' of b straight into one row per target t, then normalises
-    each row as above.  These are the exact int sums that building b's suffix
-    state and then reading each target off it would form, added in another
-    order, and each row is sorted before it is keyed, so the rows and their
-    order are the same.  The new rows of one suffix state are collected in a
-    list and yielded from it; a consumer that stops early still counts only
-    the rows it reads.
+    walk reads the state once, straight into one row per target t.  A plain
+    entry c at j adds c·[b, e_j]_k at column (k, t) for each unknown (k, t)
+    and subtracts c·[b', e_j]_t at column (b, b') for each target b' of b;
+    an insertion entry c at (column, j) subtracts c·[b, e_j]_t at that
+    column.  Each row is then normalised as above.  These are the exact int sums that building
+    b's suffix state and then reading each target off it would form, added
+    in another order, and each row is sorted before it is keyed, so the rows
+    and their order are the same.  The new rows of one suffix state are
+    collected in a list and yielded from it; a consumer that stops early
+    still counts only the rows it reads.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
@@ -170,7 +185,6 @@ def constraint_rows(index: UnknownIndex, order: int) -> Iterator[Row]:
     candidates = index.by_source
     by_deg = {d: alg.basis_at(d) for d in sorted(alg.degree_set)}
     ad = alg._ad
-    apply_basis = alg._apply_basis
     is_safe_sum = alg.is_safe_sum
 
     ext_cache: dict[Degree, list] = {}
@@ -194,43 +208,30 @@ def constraint_rows(index: UnknownIndex, order: int) -> Iterator[Row]:
     seen: set[Row] = set()
     walked: set[tuple] = set()
 
-    def primitive_state(plain: dict[int, int], ins) -> tuple:
-        merged: dict[tuple[int, int], int] = {}
-        for col, elt in ins:
-            for k, v in elt.items():
-                merged[col, k] = merged.get((col, k), 0) + v
-        entries = sorted(plain.items()) + sorted(kv for kv in merged.items() if kv[1])
-        g = math.gcd(*(v for _, v in entries))
-        if entries and entries[0][1] < 0:
-            g = -g
-        return tuple((k, v // g) for k, v in entries)
-
-    def walk(level: int, s: Degree, plain: dict[int, int], ins, inner: int):
+    def walk(level: int, s: Degree, state: dict[tuple[int, int], int], inner: int):
         # inner is the innermost element on the first step, -1 further out.
         last: list[Row] = []  # the new rows of the last step, at level 1
-        if level == 1:
-            ins_terms = tuple((col, j, c) for col, elt in ins for j, c in elt.items())
         for members, s2, targets in ext(s):
             for b in members:
                 if b <= inner and (b == inner or b in innermost):
                     continue  # the mirror tuple gives the same rows
+                ad_b = ad[b]
+                cand_b = candidates[b]
                 if level == 1:
                     # The fused last step: one row per target t.
-                    ad_b = ad[b]
                     rows: dict[int, dict[int, int]] = {t: {} for t in targets}
-                    for j, c in plain.items():
-                        for k, v in ad_b.get(j, ()):
-                            for col, t in candidates[k]:
-                                row = rows[t]
-                                row[col] = row.get(col, 0) + c * v
-                    for col, j, c in ins_terms:
-                        for t, v in ad_b.get(j, ()):
-                            row = rows[t]
-                            row[col] = row.get(col, 0) - c * v
-                    for col, bp in candidates[b]:
-                        ad_bp = ad[bp]
-                        for j, c in plain.items():
-                            for t, v in ad_bp.get(j, ()):
+                    for (col, j), c in state.items():
+                        if col < 0:
+                            for k, v in ad_b.get(j, ()):
+                                for col_k, t in candidates[k]:
+                                    row = rows[t]
+                                    row[col_k] = row.get(col_k, 0) + c * v
+                            for col_b, bp in cand_b:
+                                for t, v in ad[bp].get(j, ()):
+                                    row = rows[t]
+                                    row[col_b] = row.get(col_b, 0) - c * v
+                        else:
+                            for t, v in ad_b.get(j, ()):
                                 row = rows[t]
                                 row[col] = row.get(col, 0) - c * v
                     for t in targets:
@@ -239,42 +240,38 @@ def constraint_rows(index: UnknownIndex, order: int) -> Iterator[Row]:
                             row = {col: v for col, v in row.items() if v}
                         if not row:
                             continue
-                        items = sorted(row.items())
-                        g = math.gcd(*row.values())
-                        if items[0][1] < 0:
-                            g = -g
-                        if g != 1:
-                            items = [(col, v // g) for col, v in items]
-                        key = tuple(items)
+                        _make_primitive(row, min(row))
+                        key = tuple(sorted(row.items()))
                         if key not in seen:
                             seen.add(key)
                             last.append(key)
                     continue
-                new_plain = apply_basis(b, plain)
-                new_ins = []
-                for col, elt in ins:
-                    e2 = apply_basis(b, elt)
-                    if e2:
-                        new_ins.append((col, e2))
-                for col, bp in candidates[b]:
-                    e2 = apply_basis(bp, plain)
-                    if e2:
-                        new_ins.append((col, e2))
-                if not new_plain and not new_ins:
+                new: dict[tuple[int, int], int] = {}
+                for (col, j), c in state.items():
+                    for k, v in ad_b.get(j, ()):
+                        new[col, k] = new.get((col, k), 0) + c * v
+                    if col < 0:
+                        for col_b, bp in cand_b:
+                            for k, v in ad[bp].get(j, ()):
+                                new[col_b, k] = new.get((col_b, k), 0) + c * v
+                if 0 in new.values():  # cancelled entries
+                    new = {key: v for key, v in new.items() if v}
+                if not new:
                     continue  # nothing can emerge from an all-zero suffix
                 if level <= order - 2:  # the new suffix has >= 3 elements
-                    key = (level, s2, primitive_state(new_plain, new_ins))
+                    _make_primitive(new, min(new))
+                    key = (level, s2, frozenset(new.items()))
                     if key in walked:
                         continue  # its rows are multiples of rows already met
                     walked.add(key)
-                yield from walk(level - 1, s2, new_plain, new_ins, -1)
+                yield from walk(level - 1, s2, new, -1)
         yield from last
 
     try:
         for members, s2, _ in ext(alg.zero_degree()):
             for b in members:
-                ins = [(col, {bp: 1}) for col, bp in candidates[b]]
-                yield from walk(order - 1, s2, {b: 1}, ins, b)
+                state = dict.fromkeys(((-1, b),) + candidates[b], 1)
+                yield from walk(order - 1, s2, state, b)
     finally:
         # walk reaches itself through its closure cell; break that cycle so
         # the walk's caches are freed when the rows end or the consumer

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -6,9 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from gradedlie.algebra import BasisElement, GradedAlgebra
+from gradedlie.algebra import BasisElement, GradedAlgebra, add_degrees
 from gradedlie import builders
 from gradedlie.builders import WindowSpec
+from gradedlie.cli import main
+from gradedlie.derivations import (
+    HomogeneousMap,
+    build_constraints,
+    compare_orders,
+    domain_gammas,
+    is_nder,
+    solve_nder,
+)
 
 
 def unit(i):
@@ -321,6 +331,42 @@ def off_degree(alg, rng):
     return GradedAlgebra(
         alg.name, alg.grading_dim, alg.basis, brackets, alg.cartan, alg.truncated
     )
+
+
+def test_solver_refuses_an_ill_graded_algebra(tmp_path, capsys):
+    # The walk reads a bracket term off the degree sum at a target it has no
+    # row for; the solver refuses the algebra, while check reports the term.
+    witt = builders.build_witt(2, WindowSpec(1))
+    alg = off_degree(witt, random.Random(7))
+    rng = random.Random(1)
+    for bad in (alg, off_degree(off_degree(off_degree(witt, rng), rng), rng)):
+        got = [v.indices for v in bad.validate().violations if v.kind == "grading"]
+        assert got == [
+            (i, j, k)  # in the order of the bracket keys, then the targets
+            for (i, j), terms in sorted(bad.brackets.items())
+            for k, _ in terms
+            if bad.degree_of(k) != add_degrees(bad.degree_of(i), bad.degree_of(j))
+        ]
+    (term,) = [v.indices for v in alg.validate().violations if v.kind == "grading"]
+    calls = [
+        lambda g: build_constraints(alg, 3, g),
+        lambda g: solve_nder(alg, 3, g),
+        lambda g: is_nder(alg, HomogeneousMap(g, {}), 3),
+        lambda g: compare_orders(alg, 2, 3, g, WindowSpec(1)),
+    ]
+    gammas = domain_gammas(alg)
+    assert len(gammas) == 25
+    for gamma in gammas:
+        for call in calls:
+            with pytest.raises(ValueError, match="off the degree sum"):
+                call(gamma)
+    path = tmp_path / "off-degree.json"
+    path.write_bytes(builders.save(alg))
+    assert main(["check", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [v["indices"] for v in report["violations"] if v["kind"] == "grading"] == [
+        list(term)
+    ]
 
 
 def sparse_non_lie(seed):

@@ -257,6 +257,49 @@ def test_pruned_walk_yields_the_oracle_rows(family):
             assert set(rows) == want, (order, gamma)
 
 
+@st.composite
+def small_graded(draw):
+    """A small graded algebra, complete or truncated, that need not be Lie:
+    one or two basis elements in each of two or three degrees, at most five
+    in all (the oracle walks every tuple), and a constant from {±1, ±2} or
+    none at each basis element of each degree sum, so insertions at one
+    column of a suffix state can cancel."""
+    degrees = draw(st.lists(st.integers(-2, 2), min_size=2, max_size=3, unique=True))
+    sizes = draw(
+        st.lists(st.integers(1, 2), min_size=len(degrees), max_size=len(degrees))
+        .filter(lambda sizes: sum(sizes) <= 5)
+    )
+    basis = [
+        BasisElement(f"e{d}_{m}", (d,))
+        for d, size in zip(degrees, sizes)
+        for m in range(size)
+    ]
+    brackets = {}
+    for i, j in itertools.combinations(range(len(basis)), 2):
+        total = basis[i].degree[0] + basis[j].degree[0]
+        terms = []
+        for k, e in enumerate(basis):
+            c = draw(st.sampled_from((0, 1, -1, 2, -2))) if e.degree == (total,) else 0
+            if c:
+                terms.append((k, Fraction(c)))
+        if terms:
+            brackets[(i, j)] = tuple(terms)
+    return GradedAlgebra("small", 1, basis, brackets, (), draw(st.booleans()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(alg=small_graded())
+def test_flat_suffix_state_yields_the_oracle_rows(alg):
+    # Summing insertions per column, skipping an all-zero state and keying a
+    # state by its primitive form must leave exactly the oracle's distinct
+    # primitive rows, each once.
+    for order, gamma in itertools.product((2, 3, 4), domain_gammas(alg)):
+        rows = list(constraint_rows(UnknownIndex(alg, gamma), order))
+        assert len(rows) == len(set(rows)), (order, gamma)
+        want = {primitive(r) for r in oracle_rows(alg, order, gamma)}
+        assert set(rows) == want, (order, gamma)
+
+
 _ROW_ORDER_FAMILIES = {
     "K": builders.build_counterexample_k,
     "sl3": lambda: builders.build_sl(3),
@@ -543,30 +586,44 @@ def relabelled(alg: GradedAlgebra, rng: random.Random) -> GradedAlgebra:
     )
 
 
+# family: (build, the oracle's highest order, the highest order).  Above the
+# oracle's highest order the relabelled system is checked against the
+# original basis only.  From order 4 on the walk skips repeated suffix
+# states, whose primitive key the rescaling changes.
 _RELABEL_FAMILIES = {
-    "sv1": lambda: builders.build_sv(WindowSpec(1)),
-    "sv1-nocenter": lambda: builders.build_sv(WindowSpec(1), include_center=False),
-    "witt1": lambda: builders.build_witt(1, WindowSpec(2)),
-    "sl2": lambda: builders.build_sl(2),
-    "sl3": lambda: builders.build_sl(3),
-    "borel+": lambda: builders.build_borel(3, "+"),
-    "borel-": lambda: builders.build_borel(3, "-"),
+    "borel+": (lambda: builders.build_borel(3, "+"), 4, 4),
+    "borel-": (lambda: builders.build_borel(3, "-"), 4, 4),
+    "sl2": (lambda: builders.build_sl(2), 4, 4),
+    "sl3": (lambda: builders.build_sl(3), 3, 4),
+    "sv1": (lambda: builders.build_sv(WindowSpec(1)), 3, 5),
+    "sv1-nocenter": (
+        lambda: builders.build_sv(WindowSpec(1), include_center=False), 3, 3
+    ),
+    "witt1": (lambda: builders.build_witt(1, WindowSpec(2)), 4, 4),
+    "sv2": (lambda: builders.build_sv(WindowSpec(2)), 2, 4),
+    "witt2_1": (lambda: builders.build_witt(2, WindowSpec(1)), 2, 4),
 }
 
 
-@pytest.mark.parametrize("seed, family", enumerate(sorted(_RELABEL_FAMILIES)))
+@pytest.mark.parametrize("seed, family", enumerate(_RELABEL_FAMILIES))
 def test_relabelling_keeps_nullities(seed, family):
-    # nullities do not depend on the basis; the oracle checks the relabelled
-    # system independently of the walker
-    alg = _RELABEL_FAMILIES[family]()
+    # nullities do not depend on the basis, and nor does the number of
+    # distinct rows up to scaling, since a relabelling maps each row to a
+    # multiple of a row; the oracle checks the relabelled system
+    # independently of the walker
+    build, oracle_top, top = _RELABEL_FAMILIES[family]
+    alg = build()
     other = relabelled(alg, random.Random(seed))
     assert other.validate().valid
-    orders = (2, 3, 4) if alg.dim <= 6 else (2, 3)
-    for order in orders:
+    for order in range(2, top + 1):
         for gamma in domain_gammas(alg):
-            dim = solve_nder(other, order, gamma).dim
-            assert dim == solve_nder(alg, order, gamma).dim, (order, gamma)
-            assert dim == oracle_nder_dim(other, order, gamma), (order, gamma)
+            got, _ = build_constraints(other, order, gamma)
+            want, _ = build_constraints(alg, order, gamma)
+            assert got.num_rows == want.num_rows, (order, gamma)
+            dim = nullspace(got).dim
+            assert dim == nullspace(want).dim, (order, gamma)
+            if order <= oracle_top:
+                assert dim == oracle_nder_dim(other, order, gamma), (order, gamma)
 
 
 def mixed_within_components(alg: GradedAlgebra, rng: random.Random) -> GradedAlgebra:
@@ -676,9 +733,13 @@ class TestSolveNder:
 
 class TestIsNder:
     def test_counterexample_parity(self, k_alg):
-        phi = counterexample_map(k_alg)
-        got = {n: is_nder(k_alg, phi, n) for n in range(2, 8)}
-        assert got == {2: False, 3: True, 4: False, 5: True, 6: False, 7: True}
+        # the map M_1 -> M_-1 at gamma = -2 and its mirror M_-1 -> M_1 at +2
+        mirror = HomogeneousMap(
+            (2,), {k_alg.index_of("M_-1"): {k_alg.index_of("M_1"): Fraction(1)}}
+        )
+        for phi in (counterexample_map(k_alg), mirror):
+            got = {n: is_nder(k_alg, phi, n) for n in range(2, 8)}
+            assert got == {2: False, 3: True, 4: False, 5: True, 6: False, 7: True}
 
     def test_ill_formed_map_rejected(self, k_alg):
         bad = HomogeneousMap((-2,), {0: {1: Fraction(1)}})  # L_0 -> M_1 shifts by +1
@@ -735,6 +796,16 @@ class TestCompareOrders:
             side == "first",
             side == "second",
         ]
+
+    @pytest.mark.parametrize("order", range(3, 8))
+    @pytest.mark.parametrize("gamma", [(-2,), (2,)])
+    def test_k_parity_at_both_shifts(self, k_alg, gamma, order):
+        rep = compare_orders(k_alg, 2, order, gamma, WindowSpec(1))
+        if order % 2:
+            assert not rep.equal and rep.nullities == (0, 1)
+            assert rep.witness_side == "second"
+        else:
+            assert rep.equal and rep.nullities == (0, 0)
 
     def test_self_comparison(self, sv2):
         for gamma in [(-2,), (0,), (3,)]:
