@@ -49,7 +49,6 @@ from .linalg import (
     parse_rational,
     project_basis,
     row_space_equal,
-    solve,
     vector_in_span,
 )
 

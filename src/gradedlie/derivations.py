@@ -37,7 +37,6 @@ from .linalg import (
     nullspace,
     project_basis,
     row_space_equal,
-    solve as linear_solve,
     vector_in_span,
 )
 
@@ -45,6 +44,15 @@ _COEFF_POOL = (Fraction(-2), Fraction(-1), Fraction(1), Fraction(2))
 
 # A primitive integer constraint row: sorted (column, value) pairs.
 Row = tuple[tuple[int, int], ...]
+
+# The largest order the walk accepts: it nests one generator frame per tuple
+# element, and 500 leaves half of Python's default recursion limit to callers.
+MAX_ORDER = 500
+
+
+def _check_orders(*orders: int) -> None:
+    if not all(2 <= n <= MAX_ORDER for n in orders):
+        raise ValueError(f"order must be between 2 and {MAX_ORDER}")
 
 
 @dataclass(frozen=True)
@@ -158,13 +166,15 @@ def constraint_rows(index: UnknownIndex, order: int) -> Iterator[Row]:
     primitive in place (``linalg._make_primitive``: divided by the gcd of its
     entries, the entry at its least key positive), which scales every row
     below it by one nonzero scalar that row normalisation removes.  It is
-    skipped when an earlier one had the same key: the remaining depth, the
-    degree sum and the primitive state.  Past the innermost pair nothing in
-    the subtree reads the tuple itself, so the subtree's rows depend on the
-    key alone, up to one scalar.  Equal depth means neither state lies under
-    the other, so the depth-first walk has finished the earlier subtree and
-    every row of the skipped one is a multiple of a row already yielded: the
-    walk yields the same rows in the same order.
+    skipped when an earlier one had the same key: the remaining depth and
+    the primitive state.  On a graded algebra (``UnknownIndex`` takes no
+    other) any entry of a nonzero state fixes its degree sum s: a plain
+    entry sits at degree s, an insertion at s + gamma.  Past the innermost
+    pair nothing in the subtree reads the tuple itself, so the subtree's
+    rows depend on the key alone, up to one scalar.  Equal depth means
+    neither state lies under the other, so the depth-first walk has finished
+    the earlier subtree and every row of the skipped one is a multiple of a
+    row already yielded: the walk yields the same rows in the same order.
 
     The last step is fused: for each element b that completes a tuple, the
     walk reads the state once, straight into one row per target t.  A plain
@@ -177,9 +187,10 @@ def constraint_rows(index: UnknownIndex, order: int) -> Iterator[Row]:
     and their order are the same.  The new rows of one suffix state are
     collected in a list and yielded from it; a consumer that stops early
     still counts only the rows it reads.
+
+    An order below 2 or above ``MAX_ORDER`` is refused with a ``ValueError``.
     """
-    if order < 2:
-        raise ValueError("order must be >= 2")
+    _check_orders(order)
     alg = index.alg
     gamma = index.gamma
     candidates = index.by_source
@@ -260,7 +271,7 @@ def constraint_rows(index: UnknownIndex, order: int) -> Iterator[Row]:
                     continue  # nothing can emerge from an all-zero suffix
                 if level <= order - 2:  # the new suffix has >= 3 elements
                     _make_primitive(new, min(new))
-                    key = (level, s2, frozenset(new.items()))
+                    key = (level, frozenset(new.items()))
                     if key in walked:
                         continue  # its rows are multiples of rows already met
                     walked.add(key)
@@ -391,8 +402,7 @@ def compare_orders(
     If the projected row spaces differ, a witness vector lying in exactly one
     of them is reported.
     """
-    if min(order1, order2) < 2:
-        raise ValueError("order must be >= 2")
+    _check_orders(order1, order2)
     outer = _outer_radius(alg)
     if inner.max_abs > outer:
         raise ValueError("inner window exceeds the algebra window")
@@ -413,25 +423,19 @@ def compare_orders(
         for col, (b, _bp) in enumerate(index.pairs)
         if all(abs(c) <= inner.max_abs for c in alg.degree_of(b))
     ]
-    p1 = project_basis(basis1, proj_cols)
-    p2 = project_basis(basis2, proj_cols)
+    p1, p2 = (project_basis(basis, proj_cols) for basis in (basis1, basis2))
     equal = row_space_equal(p1, p2)
-    intersection = p1.dim
-    witness_side = None
-    witness = None
+    intersection, witness_side, witness = p1.dim, None, None
     if not equal:
-        # The first p2 vector that grows the fold of p1 is the first one
-        # outside span(p1); the whole fold is the union's rank.
-        union = Echelon(p1.dim_ambient, (v.entries for v in p1.vectors))
-        for v in p2.vectors:
-            if union.add(v.entries) and witness is None:
-                witness_side, witness = "second", v
+        union = Echelon(len(proj_cols), (v.entries for v in p1.vectors + p2.vectors))
         intersection = p1.dim + p2.dim - union.rank
-        if witness is None:
-            for v in p1.vectors:
-                if not vector_in_span(v, p2):
-                    witness_side, witness = "first", v
-                    break
+        # the first vector of p2, then of p1, outside the other space
+        witness_side, witness = next(
+            (side, v)
+            for side, own, other in (("second", p2, p1), ("first", p1, p2))
+            for v in own.vectors
+            if not vector_in_span(v, other)
+        )
     return ComparisonReport(
         algebra=alg.name,
         orders=(order1, order2),
@@ -452,26 +456,26 @@ def compare_orders(
 def is_inner(alg: GradedAlgebra, phi: HomogeneousMap) -> Optional[Element]:
     """A homogeneous x with ad(x) matching phi on phi's domain, if one exists.
 
-    Deterministic: the underlying linear solve sets free variables to zero,
-    so the zero map always returns the zero element.
+    One row per unknown (b, t): sum over g of x_g [g, e_b]_t − phi(e_b)_t = 0,
+    with phi's column last.  That column is free exactly when the rows are
+    consistent, and its canonical nullspace vector, the last one, is then x
+    with every other free coefficient zero: deterministic, {} for phi = 0.
     """
     gamma = tuple(phi.gamma)
     generators = alg.basis_at(gamma)
     index = UnknownIndex(alg, gamma)
-    rhs = index.encode(phi)
-    # One equation per unknown (b, t): sum over g of x_g [g, e_b]_t = phi(e_b)_t.
+    phi_col = len(generators)
     rows: list[dict[int, Rational]] = [{} for _ in index.pairs]
     for pos, g in enumerate(generators):
         for b in index.domain:
             for t, c in alg.bracket(alg.unit(g), alg.unit(b)).items():
                 rows[index.column(b, t)][pos] = c
-    solution = linear_solve(
-        SparseMatrix(len(generators), tuple(map(SparseVector.from_dict, rows))),
-        SparseVector.from_dict(rhs),
-    )
-    if solution is None:
-        return None
-    return {generators[pos]: c for pos, c in solution.entries}
+    for col, c in index.encode(phi).items():
+        rows[col][phi_col] = -c
+    null = Echelon(phi_col + 1, rows).nullspace().vectors
+    if not null or null[-1].max_index() != phi_col:
+        return None  # phi's column is a pivot: a row reads 0 = nonzero
+    return {generators[pos]: c for pos, c in null[-1].entries[:-1]}
 
 
 def decompose_homogeneous(

@@ -1,11 +1,13 @@
 """Exact sparse linear algebra over the rationals.
 
 Rows may carry ``int`` or ``fractions.Fraction`` values.  Elimination is
-fraction-free Gauss-Jordan with a fixed pivot rule: rows stay primitive
-``int`` rows throughout, and ``Fraction`` first appears when the reduced
-row-echelon form is read out, one division per entry, so every result is an
-exact ``Fraction``.  Every result is deterministic and the reduced
-row-echelon form is the unique one.
+one class, ``Echelon``: fraction-free Gauss-Jordan with a fixed pivot rule.
+Rows stay primitive ``int`` rows throughout, and ``Fraction`` first appears
+when the reduced row-echelon form is read out, one division per entry, so
+every result is an exact ``Fraction``.  Every result is deterministic and the
+reduced row-echelon form is the unique one.  There is no separate solver for
+m·x = b: that system is the homogeneous one on the columns of m plus one
+column holding −b, and its solutions are read off the canonical nullspace.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction
 
@@ -58,9 +60,6 @@ class SparseVector:
     @classmethod
     def from_dict(cls, coeffs: Mapping[int, Rational]) -> "SparseVector":
         return cls(tuple((i, Fraction(c)) for i, c in sorted(coeffs.items()) if c != 0))
-
-    def to_dict(self) -> dict[int, Rational]:
-        return dict(self.entries)
 
     def max_index(self) -> int:
         return self.entries[-1][0] if self.entries else -1
@@ -222,33 +221,6 @@ def nullspace(m: SparseMatrix) -> SubspaceBasis:
     return Echelon(m.num_cols, (r.entries for r in m.rows)).nullspace()
 
 
-def solve(m: SparseMatrix, b: SparseVector) -> Optional[SparseVector]:
-    """One exact solution of m·x = b (free variables zero), or None if inconsistent.
-
-    ``b`` is indexed by row position of ``m``.
-    """
-    if b.max_index() >= m.num_rows:
-        raise ValueError("right-hand side has more entries than rows")
-    aug = m.num_cols  # the right-hand side, as one more ordinary column
-    rhs = b.to_dict()
-    rows = []
-    for i, row in enumerate(m.rows):
-        d = row.to_dict()
-        r = rhs.get(i)
-        if r:
-            d[aug] = r
-        rows.append(d)
-    reduced, pivots = Echelon(m.num_cols + 1, rows).reduced()
-    if pivots and pivots[-1] == aug:
-        return None  # a pivot there is a row reading 0 = nonzero
-    x: dict[int, Rational] = {}
-    for row, p in zip(reduced, pivots):
-        v = row.get(aug)
-        if v:
-            x[p] = v
-    return SparseVector.from_dict(x)
-
-
 def row_space_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:
     """True iff span(a) = span(b), decided by comparing their unique RREFs."""
     if a.dim_ambient != b.dim_ambient:
@@ -267,20 +239,13 @@ def vector_in_span(v: SparseVector, basis: SubspaceBasis) -> bool:
 
 def project_basis(a: SubspaceBasis, coords: Sequence[int]) -> SubspaceBasis:
     """Row-reduced image of span(a) under projection onto the given coordinates."""
-    seen = set()
-    position = {}
+    position: dict[int, int] = {}
     for pos, c in enumerate(coords):
-        if c in seen:
+        if c in position:
             raise ValueError("duplicate coordinate")
         if not 0 <= c < a.dim_ambient:
             raise ValueError("coordinate out of range")
-        seen.add(c)
         position[c] = pos
-    projected = []
-    for v in a.vectors:
-        row = {position[i]: c for i, c in v.entries if i in position}
-        projected.append(row)
-    reduced, _ = Echelon(len(coords), projected).reduced()
-    return SubspaceBasis(
-        len(coords), tuple(SparseVector.from_dict(r) for r in reduced)
-    )
+    rows = ({position[i]: c for i, c in v.entries if i in position} for v in a.vectors)
+    reduced, _ = Echelon(len(coords), rows).reduced()
+    return SubspaceBasis(len(coords), tuple(map(SparseVector.from_dict, reduced)))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Optional
 
 from gradedlie.algebra import GradedAlgebra
 
@@ -123,6 +124,16 @@ def dense_rref(rows: list[list], cols: int) -> tuple[list[list[Fraction]], list[
                 rows[i] = [a - f * b for a, b in zip(row, rows[rank])]
         pivots.append(c)
     return rows[: len(pivots)], pivots
+
+
+def dense_solve(rows: list[list], b: list, cols: int) -> Optional[dict[int, Fraction]]:
+    """One exact solution of rows·x = b with every free variable zero, as
+    {column: value} over its nonzero entries, or None when the system is
+    inconsistent: textbook Gauss-Jordan on the augmented matrix."""
+    reduced, pivots = dense_rref([list(r) + [v] for r, v in zip(rows, b)], cols + 1)
+    if pivots and pivots[-1] == cols:
+        return None  # a row reads 0 = nonzero
+    return {p: row[cols] for row, p in zip(reduced, pivots) if row[cols]}
 
 
 def oracle_rows(alg: GradedAlgebra, order: int, gamma) -> list[list[Fraction]]:

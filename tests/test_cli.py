@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from gradedlie import builders
 from gradedlie.algebra import GradedAlgebra
 from gradedlie.cli import main
+from gradedlie.derivations import MAX_ORDER
 
 _SL2_DOC = json.loads(builders.save(builders.build_sl(2)))
 
@@ -220,6 +221,34 @@ class TestSolve:
             capsys, "solve", k_file, "--order", "2", "--gamma-range", "0..1"
         )
         assert code == 2
+
+
+class TestOrderCeiling:
+    # The walk nests one generator frame per tuple element, so an order near
+    # the recursion limit would end in a RecursionError traceback.
+    @pytest.mark.parametrize("order", [MAX_ORDER + 1, 10**6])
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_above_the_ceiling_is_one_line(self, capsys, k_file, command, order):
+        flags = {
+            "solve": ("--order", str(order)), "compare": ("--orders", f"2,{order}")
+        }
+        code, out, err = run(capsys, command, k_file, *flags[command], "--gamma", "0")
+        assert_one_line_error(code, out, err)
+        assert str(MAX_ORDER) in err and "Traceback" not in err
+
+    def test_k_solves_and_compares_at_the_ceiling(self, capsys, k_file):
+        # K's walk reaches the full depth at every shift; even orders have
+        # no solution at gamma = -2, odd ones the counterexample map
+        for order, nullity in ((MAX_ORDER, 0), (MAX_ORDER - 1, 1)):
+            code, doc = run_json(
+                capsys, "solve", k_file, "--order", str(order), "--gamma=-2"
+            )
+            assert code == 0 and doc["nullity"] == nullity
+        code, doc = run_json(
+            capsys, "compare", k_file, "--orders", f"2,{MAX_ORDER}", "--gamma=-2",
+            "--buffer", "0",
+        )
+        assert code == 0 and doc["nullities"] == [0, 0]
 
 
 class TestCompare:

@@ -100,6 +100,32 @@ class TestBuildConstraints:
         with pytest.raises(ValueError):
             build_constraints(k_alg, 1, (0,))
 
+    def test_order_ceiling(self, k_alg):
+        # the walk nests one generator frame per tuple element: orders above
+        # MAX_ORDER are refused before it starts, by every entry point, also
+        # where S₂ would certify S_N without reading a row
+        above = derivations.MAX_ORDER + 1
+        flat = GradedAlgebra(
+            "flat", 1, [BasisElement("a", (0,)), BasisElement("b", (0,))], {}, [0, 1]
+        )
+        calls = [
+            lambda: solve_nder(k_alg, above, (-2,)),
+            lambda: is_nder(k_alg, counterexample_map(k_alg), above),
+            lambda: compare_orders(k_alg, 2, above, (-2,), WindowSpec(1)),
+            lambda: compare_orders(k_alg, above, 2, (-2,), WindowSpec(1)),
+            lambda: compare_orders(flat, 2, above, (0,), WindowSpec(1)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=str(derivations.MAX_ORDER)):
+                call()
+        # at the ceiling K's walk runs to its full depth without a
+        # RecursionError; odd orders keep the counterexample map
+        at = derivations.MAX_ORDER
+        assert solve_nder(k_alg, at, (-2,)).dim == 0
+        assert solve_nder(k_alg, at - 1, (-2,)).dim == 1
+        assert is_nder(k_alg, counterexample_map(k_alg), at - 1)
+        assert compare_orders(k_alg, 2, at, (-2,), WindowSpec(1)).equal
+
     def test_row_determinism(self, sv2):
         m1, _ = build_constraints(sv2, 3, (1,))
         m2, _ = build_constraints(sv2, 3, (1,))
@@ -700,7 +726,7 @@ class TestSolveNder:
         coords = index.encode(phi)
         assert basis3.dim == 1
         v = basis3.vectors[0]
-        assert v.to_dict() == coords
+        assert dict(v.entries) == coords
         assert solve_nder(k_alg, 2, (-2,)).dim == 0
 
     def test_sl2_triple_matches_ordinary(self, sl2):
@@ -828,6 +854,59 @@ class TestCompareOrders:
         assert rep.equal and rep.nullities == (4, 4) and rep.dims == (4, 4, 4)
 
 
+def ad_map(alg: GradedAlgebra, gamma, x) -> HomogeneousMap:
+    """ad(x) restricted to the domain at shift gamma."""
+    images = {b: alg.bracket(x, unit(b)) for b in UnknownIndex(alg, gamma).domain}
+    return HomogeneousMap(gamma, {b: img for b, img in images.items() if img})
+
+
+def inner_probe_maps(alg: GradedAlgebra):
+    """(gamma, kind, map) at every domain shift: each order-2 solution, two
+    ad(x) maps and two random maps with seeded small coefficients, and the
+    zero map."""
+    rng = random.Random(0)
+
+    def coeff():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+
+    for gamma in domain_gammas(alg):
+        index = UnknownIndex(alg, gamma)
+        for v in solve_nder(alg, 2, gamma).vectors:
+            yield gamma, "order-2", index.decode(v)
+        for _ in range(2):
+            x = {g: c for g in alg.basis_at(gamma) if (c := coeff())}
+            yield gamma, "ad", ad_map(alg, gamma, x)
+        for _ in range(2):
+            v = {col: c for col in range(len(index)) if (c := coeff())}
+            yield gamma, "random", index.decode(SparseVector.from_dict(v))
+        yield gamma, "zero", HomogeneousMap(gamma, {})
+
+
+_INNER_FAMILIES = {
+    "K": builders.build_counterexample_k,
+    "sl2": lambda: builders.build_sl(2),
+    "sl3": lambda: builders.build_sl(3),
+    "borel+3": lambda: builders.build_borel(3, "+"),
+    "sv2": lambda: builders.build_sv(WindowSpec(2)),
+    "sv2-nocenter": lambda: builders.build_sv(WindowSpec(2), include_center=False),
+    "witt1_2": lambda: builders.build_witt(1, WindowSpec(2)),
+    "witt2_1": lambda: builders.build_witt(2, WindowSpec(1)),
+}
+
+# SHA-256 of repr((gamma, kind, answer)) over ``inner_probe_maps``, per
+# family, frozen from the solver that preceded the nullspace reading.
+_INNER_DIGESTS = {
+    "K": "ab7bc875ed2a14452d73f7a4f5c78812afa7a381ea06cfe6a34d7b781cd7e2c5",
+    "sl2": "ba42706e3ed9b968d001972190d00db39574652cb6e9e65b8dd0d5c69bba9745",
+    "sl3": "1b7eae5f77739f6ede9bfe75b7d2f85e3614e8afbe4048f0ac8d169902832fda",
+    "borel+3": "5ff8faf26d485f533c7f80e8fb72ff104b50acb343346556a66fd53c84de6b66",
+    "sv2": "62fe9627f994cfe1f33ca36237bf59bce748121134d5ec296da9e855db363504",
+    "sv2-nocenter": "d1f1ed94f60adc4e9d69424aefd163b80b49611681330f95e9bf0ea35b112fb7",
+    "witt1_2": "d1478766014a30ff23006d1950b62325a8defddd7925d5ffc44c089662ff7ce9",
+    "witt2_1": "99fa05ca23666702259800cf5bc23cc964fc0d1e9cd380bb4b6d4e2596addfa7",
+}
+
+
 class TestIsInner:
     def test_bad_pairs_are_rejected(self, sv2):
         gamma = (1,)
@@ -862,6 +941,37 @@ class TestIsInner:
     def test_zero_map(self, k_alg, sl2):
         for alg in (k_alg, sl2):
             assert is_inner(alg, HomogeneousMap((0,) * alg.grading_dim, {})) == {}
+
+    def test_answers_are_frozen(self):
+        # is_inner's answer to every probe map, None or x, hashed per family
+        for family, want in _INNER_DIGESTS.items():
+            alg = _INNER_FAMILIES[family]()
+            digest = hashlib.sha256()
+            for gamma, kind, phi in inner_probe_maps(alg):
+                x = is_inner(alg, phi)
+                answer = None if x is None else sorted(x.items())
+                digest.update(repr((gamma, kind, answer)).encode())
+            assert digest.hexdigest() == want, family
+
+    def test_dependent_generators_get_zero(self, sv2):
+        # M_0 and the centre C are central, so their coefficients in x are
+        # free; the answer sets them to zero, and so recovers L_0 alone from
+        # ad(3·L_0 − M_0/2 + 5·C)
+        gamma = (0,)
+        l0, m0, c = (sv2.index_of(label) for label in ("L_0", "M_0", "C"))
+        assert sv2.basis_at(gamma) == (l0, m0, c)
+        assert ad_map(sv2, gamma, {m0: Fraction(1), c: Fraction(1)}).images == {}
+        x = {l0: Fraction(3), m0: Fraction(-1, 2), c: Fraction(5)}
+        assert is_inner(sv2, ad_map(sv2, gamma, x)) == {l0: Fraction(3)}
+
+    def test_inconsistent_map_is_none(self, sl2):
+        # ad(x) at degree 0 is a multiple of ad(H), which scales E and F by
+        # opposite amounts; E -> E with F fixed matches no such multiple
+        e, f = sl2.index_of("E(1,2)"), sl2.index_of("E(2,1)")
+        phi = HomogeneousMap((0,), {e: {e: Fraction(1)}})
+        assert is_inner(sl2, phi) is None
+        phi = HomogeneousMap((0,), {e: {e: Fraction(1)}, f: {f: Fraction(-1)}})
+        assert is_inner(sl2, phi) == {sl2.index_of("H_1"): Fraction(1, 2)}
 
     def test_every_sl3_solution_is_inner(self, sl3):
         for gamma in domain_gammas(sl3):

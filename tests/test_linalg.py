@@ -1,11 +1,12 @@
 import math
 import random
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import dense_rank, dense_rref, mat_vec
+from oracle import dense_rank, dense_rref, dense_solve, mat_vec
 from gradedlie import linalg
 from gradedlie.linalg import (
     Echelon,
@@ -17,7 +18,6 @@ from gradedlie.linalg import (
     parse_rational,
     project_basis,
     row_space_equal,
-    solve,
     vector_in_span,
 )
 
@@ -42,7 +42,7 @@ def vec(values):
 
 def as_lists(m: SparseMatrix):
     return [
-        [row.to_dict().get(c, 0) for c in range(m.num_cols)] for row in m.rows
+        [dict(row.entries).get(c, 0) for c in range(m.num_cols)] for row in m.rows
     ]
 
 
@@ -108,27 +108,46 @@ class TestRref:
 class TestNullspace:
     def test_rank_one(self):
         basis = nullspace(mat([[1, 2], [2, 4]], 2))
-        assert [v.to_dict() for v in basis.vectors] == [{0: -2, 1: 1}]
+        assert [dict(v.entries) for v in basis.vectors] == [{0: -2, 1: 1}]
 
     def test_identity_has_trivial_nullspace(self):
         assert nullspace(mat([[1, 0], [0, 1]], 2)).vectors == ()
 
     def test_zero_matrix(self):
         basis = nullspace(SparseMatrix(3))
-        assert [v.to_dict() for v in basis.vectors] == [{0: 1}, {1: 1}, {2: 1}]
+        assert [dict(v.entries) for v in basis.vectors] == [{0: 1}, {1: 1}, {2: 1}]
+
+
+def nullspace_solve(m: SparseMatrix, b) -> Optional[dict]:
+    """x with m·x = b (one value of b per row), read off the canonical
+    nullspace of [m | −b] as ``is_inner`` reads it: the −b column is free
+    exactly when the system is consistent, its vector is then the last one,
+    and every other free coefficient in it is zero."""
+    aug = m.num_cols
+    rows = [dict(r.entries) for r in m.rows]
+    for row, v in zip(rows, b):
+        if v:
+            row[aug] = -v
+    null = Echelon(aug + 1, rows).nullspace().vectors
+    if not null or null[-1].max_index() != aug:
+        return None
+    return dict(null[-1].entries[:-1])
 
 
 class TestSolve:
+    # the nullspace reading against the dense reference solve
     def test_diagonal(self):
-        x = solve(mat([[2, 0], [0, 3]], 2), vec([4, 6]))
-        assert x.to_dict() == {0: 2, 1: 2}
+        m, b = mat([[2, 0], [0, 3]], 2), [4, 6]
+        assert nullspace_solve(m, b) == dense_solve(as_lists(m), b, 2) == {0: 2, 1: 2}
 
     def test_free_variable_zero(self):
-        x = solve(mat([[1, 1]], 2), vec([5]))
-        assert x.to_dict() == {0: 5}
+        m, b = mat([[1, 1]], 2), [5]
+        assert nullspace_solve(m, b) == dense_solve(as_lists(m), b, 2) == {0: 5}
 
     def test_inconsistent(self):
-        assert solve(mat([[1], [1]], 1), vec([1, 2])) is None
+        m, b = mat([[1], [1]], 1), [1, 2]
+        assert nullspace_solve(m, b) is None
+        assert dense_solve(as_lists(m), b, 1) is None
 
 
 class TestRowSpaceEqual:
@@ -154,7 +173,7 @@ class TestProjectBasis:
     def test_restriction(self):
         a = SubspaceBasis(3, (vec([1, 2, 3]),))
         p = project_basis(a, [0, 1])
-        assert [v.to_dict() for v in p.vectors] == [{0: 1, 1: 2}]
+        assert [dict(v.entries) for v in p.vectors] == [{0: 1, 1: 2}]
 
     def test_vanishing(self):
         a = SubspaceBasis(3, (vec([1, 0, 0]), vec([0, 1, 0])))
@@ -189,22 +208,24 @@ def check_linalg_properties(m: SparseMatrix) -> None:
     assert m.num_cols - basis.dim == rank
     # exact residuals
     for v in basis.vectors:
-        assert all(r == 0 for r in mat_vec(m, v.to_dict()))
+        assert all(r == 0 for r in mat_vec(m, dict(v.entries)))
     rng = random.Random(m.num_cols)
-    # solve meets a consistent right-hand side exactly, free columns at zero
+    # the nullspace reading meets a consistent right-hand side exactly, free
+    # columns at zero, as the dense reference solve does
     x0 = {c: Fraction(rng.randrange(-3, 4)) for c in range(m.num_cols)}
     b = mat_vec(m, x0)
-    x = solve(m, SparseVector.from_dict(dict(enumerate(b))))
-    assert x is not None and mat_vec(m, x.to_dict()) == b
-    assert all(v.max_index() not in x.to_dict() for v in basis.vectors)
+    x = nullspace_solve(m, b)
+    assert x is not None and mat_vec(m, x) == b
+    assert all(v.max_index() not in x for v in basis.vectors)
+    assert x == dense_solve(dense, b, m.num_cols)
     # and finds none exactly when the right-hand side raises the rank
     b = [Fraction(rng.randrange(-2, 3)) for _ in m.rows]
-    x = solve(m, SparseVector.from_dict(dict(enumerate(b))))
+    x = nullspace_solve(m, b)
     augmented = [row + [v] for row, v in zip(dense, b)]
     assert (x is None) == (dense_rank(augmented) > rank)
-    assert x is None or mat_vec(m, x.to_dict()) == b
+    assert x == dense_solve(dense, b, m.num_cols)
     # repeated, rescaled and reordered rows leave the canonical basis unchanged
-    rows = [r.to_dict() for r in m.rows]
+    rows = [dict(r.entries) for r in m.rows]
     rows += [{i: -2 * c for i, c in r.items()} for r in rows]
     rng.shuffle(rows)
     assert nullspace(matrix(m.num_cols, rows)) == basis
@@ -254,7 +275,7 @@ def int_matrix(rng: random.Random, max_rows=6, max_cols=7) -> SparseMatrix:
 
 
 def as_fractions(m: SparseMatrix) -> SparseMatrix:
-    return matrix(m.num_cols, [r.to_dict() for r in m.rows])
+    return matrix(m.num_cols, [dict(r.entries) for r in m.rows])
 
 
 def all_fractions(vectors) -> bool:
@@ -266,10 +287,10 @@ def check_int_rows_exact(m: SparseMatrix) -> None:
     f = as_fractions(m)
     basis = nullspace(m)
     assert all_fractions(basis.vectors) and basis == nullspace(f)
-    b = SparseVector(tuple((i, i + 2) for i in range(m.num_rows)))
-    x = solve(m, b)
-    assert x == solve(f, b)
-    assert x is None or all_fractions([x])
+    b = [i + 2 for i in range(m.num_rows)]
+    x = nullspace_solve(m, b)
+    assert x == nullspace_solve(f, b) == dense_solve(as_lists(m), b, m.num_cols)
+    assert x is None or all(type(c) is Fraction for c in x.values())
     span = SubspaceBasis(m.num_cols, m.rows)
     coords = list(range(0, m.num_cols, 2))
     p = project_basis(span, coords)
@@ -337,7 +358,7 @@ def test_echelon_is_incremental(seed, ints):
         basis = ech.nullspace()
         assert basis.dim == m.num_cols - ech.rank
         for v in basis.vectors:
-            assert not any(mat_vec(prefix, v.to_dict()))
+            assert not any(mat_vec(prefix, dict(v.entries)))
 
 
 # Entries mix zeros and small values, so rows are often dependent, with
@@ -397,7 +418,7 @@ def test_echelon_matches_textbook_gauss_jordan(m):
             v = {free: 1}
             v.update((p, -r[free]) for r, p in zip(want, pivots) if r[free])
             null.append(v)
-    assert [v.to_dict() for v in ech.nullspace().vectors] == null
+    assert [dict(v.entries) for v in ech.nullspace().vectors] == null
 
 
 def test_cancel_keeps_the_working_row_small(monkeypatch):
