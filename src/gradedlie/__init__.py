@@ -27,7 +27,6 @@ from .derivations import (
     ComparisonReport,
     HomogeneousMap,
     PWitness,
-    SearchBudget,
     UnknownIndex,
     build_constraints,
     check_property_p,

@@ -191,18 +191,6 @@ class GradedAlgebra:
     def unit(self, index: int) -> Element:
         return {index: _ONE}
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GradedAlgebra):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.grading_dim == other.grading_dim
-            and self.basis == other.basis
-            and self.brackets == other.brackets
-            and self.cartan == other.cartan
-            and self.truncated == other.truncated
-        )
-
     def __repr__(self) -> str:
         return f"GradedAlgebra({self.name!r}, dim={self.dim})"
 

@@ -56,12 +56,6 @@ def _check_orders(*orders: int) -> None:
 
 
 @dataclass(frozen=True)
-class SearchBudget:
-    samples: int = 20
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class HomogeneousMap:
     """Degree shift plus per-source images, each homogeneous of shifted degree."""
 
@@ -74,11 +68,10 @@ class UnknownIndex:
 
     Pairs are sorted lexicographically; the domain is every source basis
     element whose shifted degree is present in the algebra.  The column
-    layout is built once here and read from two tables: ``by_source[b]``
-    holds the (column, target) of each unknown with source b, and
-    ``by_target[t]`` maps each source b of an unknown (b, t) to its column.
-    The constraint walk, ``column``, ``encode`` and ``is_inner`` all read
-    them.
+    layout is built once here into one table, ``by_source[b]``: the
+    (column, target) of each unknown with source b, which the constraint
+    walk reads.  ``column``, which ``encode`` and ``is_inner`` call, looks a
+    pair up in a dict keyed by (source, target), built from ``pairs``.
     """
 
     def __init__(self, alg: GradedAlgebra, gamma: Degree):
@@ -92,24 +85,20 @@ class UnknownIndex:
         self.gamma = tuple(gamma)
         pairs: list[tuple[int, int]] = []
         by_source: list[tuple[tuple[int, int], ...]] = []
-        self.by_target: list[dict[int, int]] = [{} for _ in range(alg.dim)]
         for b in range(alg.dim):
             targets = alg.basis_at(add_degrees(alg.degree_of(b), self.gamma))
             by_source.append(tuple(enumerate(targets, len(pairs))))
-            for col, t in by_source[-1]:
-                self.by_target[t][b] = col
-                pairs.append((b, t))
+            pairs.extend((b, t) for t in targets)
         self.pairs = tuple(pairs)
         self.by_source = tuple(by_source)
         self.domain = tuple(b for b, cols in enumerate(by_source) if cols)
+        self._columns = {pair: col for col, pair in enumerate(self.pairs)}
 
     def __len__(self) -> int:
         return len(self.pairs)
 
     def column(self, source: int, target: int) -> int:
-        if not 0 <= target < len(self.by_target):  # a list index would wrap at -1
-            raise KeyError((source, target))
-        return self.by_target[target][source]
+        return self._columns[source, target]
 
     def decode(self, vec: SparseVector) -> HomogeneousMap:
         images: dict[int, Element] = {}
@@ -162,19 +151,21 @@ def constraint_rows(index: UnknownIndex, order: int) -> Iterator[Row]:
     j also adds [b', e_j] at column (b, b') for each target b' of b.  A
     state whose entries all cancel is not extended: its rows are all zero.
 
-    A suffix state of at least 3 elements that is extended further is made
-    primitive in place (``linalg._make_primitive``: divided by the gcd of its
-    entries, the entry at its least key positive), which scales every row
-    below it by one nonzero scalar that row normalisation removes.  It is
-    skipped when an earlier one had the same key: the remaining depth and
-    the primitive state.  On a graded algebra (``UnknownIndex`` takes no
-    other) any entry of a nonzero state fixes its degree sum s: a plain
+    A suffix state of at least 3 elements that is extended further, so from
+    order 4 on, is made primitive in place by the helper that normalises
+    rows (``linalg._make_primitive``: divided by the gcd of its entries, the
+    entry at its least key positive), which scales every row below it by one
+    nonzero scalar that row normalisation removes.  It is skipped when an
+    earlier one had the same key: the remaining depth and the primitive
+    state, not the degree sum.  On a graded algebra (``UnknownIndex`` takes
+    no other) any entry of a nonzero state fixes its degree sum s: a plain
     entry sits at degree s, an insertion at s + gamma.  Past the innermost
     pair nothing in the subtree reads the tuple itself, so the subtree's
     rows depend on the key alone, up to one scalar.  Equal depth means
     neither state lies under the other, so the depth-first walk has finished
     the earlier subtree and every row of the skipped one is a multiple of a
-    row already yielded: the walk yields the same rows in the same order.
+    row already yielded: the walk yields the same rows in the same order,
+    and ``compare_orders``' examined-row counts do not move.
 
     The last step is fused: for each element b that completes a tuple, the
     walk reads the state once, straight into one row per target t.  A plain
@@ -537,11 +528,12 @@ def _proportionality(z: Element, x: Element) -> Optional[Rational]:
 
 
 def check_property_p(
-    alg: GradedAlgebra, x: Element, budget: SearchBudget = SearchBudget()
+    alg: GradedAlgebra, x: Element, samples: int = 20, seed: int = 0
 ) -> PWitness:
     """Decide the triple-bracket test exactly, then search for a two-factor
-    decomposition witness; a none-found result is window-relative, never a
-    completeness claim."""
+    decomposition witness: every basis pair first, then ``samples`` random
+    pairs per degree split, drawn from ``random.Random(seed)``.  A none-found
+    result is window-relative, never a completeness claim."""
     alpha = _homogeneous_degree(alg, x)
     zero = alg.zero_degree()
     if alpha == zero:
@@ -564,7 +556,7 @@ def check_property_p(
                 continue
             for b2 in alg.basis_at(beta):
                 yield alg.unit(b1), alg.unit(b2), beta
-        rng = random.Random(budget.seed)
+        rng = random.Random(seed)
         for beta in sorted(alg.degree_set):
             if beta == zero or beta == alpha:
                 continue
@@ -572,7 +564,7 @@ def check_property_p(
             right_members = alg.basis_at(beta)
             if not left_members or not right_members:
                 continue
-            for _ in range(budget.samples):
+            for _ in range(samples):
                 y1 = {b: rng.choice(_COEFF_POOL) for b in left_members}
                 y2 = {b: rng.choice(_COEFF_POOL) for b in right_members}
                 yield y1, y2, beta

@@ -236,6 +236,17 @@ class TestOrderCeiling:
         assert_one_line_error(code, out, err)
         assert str(MAX_ORDER) in err and "Traceback" not in err
 
+    def test_below_two_is_the_library_message(self, capsys, k_file):
+        # the parser checks only the arity of --orders; the order range has
+        # one owner, the library, whose message both commands print
+        errs = set()
+        for flags in (("compare", k_file, "--orders", "1,2"),
+                      ("solve", k_file, "--order", "1")):
+            code, out, err = run(capsys, *flags, "--gamma", "0")
+            assert_one_line_error(code, out, err)
+            errs.add(err)
+        assert errs == {f"error: order must be between 2 and {MAX_ORDER}\n"}
+
     def test_k_solves_and_compares_at_the_ceiling(self, capsys, k_file):
         # K's walk reaches the full depth at every shift; even orders have
         # no solution at gamma = -2, odd ones the counterexample map

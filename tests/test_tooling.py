@@ -160,3 +160,28 @@ def test_every_public_name_has_a_caller():
             if reads[node.name] == own and node.name not in named:
                 uncalled.append(f"{module}: {qualname}")
     assert uncalled == []
+
+
+# Dunders that src/ needs: construction, dataclass checks, len() of an
+# index and a readable repr.  Any other one, such as an __eq__ that only
+# tests call, is behaviour the public-name test above cannot see.
+_NEEDED_DUNDERS = {"__init__", "__post_init__", "__len__", "__repr__"}
+
+
+def test_no_dunder_beyond_the_needed_ones():
+    # every hand-written dunder method in src/ is one src/ needs, or README
+    # names it
+    readme = (ROOT / "README.md").read_text()
+    code = re.findall(r"```.*?```|`[^`\n]+`", readme, re.S)
+    allowed = _NEEDED_DUNDERS | set(re.findall(r"\w+", " ".join(code)))
+    extra = [
+        f"{path.name}: {node.name}.{item.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef)
+        and item.name.startswith("__") and item.name.endswith("__")
+        and item.name not in allowed
+    ]
+    assert extra == []
