@@ -9,6 +9,7 @@ JSON reports use sorted keys and canonical rational strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -410,7 +411,10 @@ def _gamma_range(text: str) -> range:
     return range(int(m.group(1)), int(m.group(2)) + 1)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args keeps no state between calls, and
+    # each builtin's build default looks its builder up when it runs.
     parser = _Parser(
         prog="gradedlie",
         description="Exact derivation-space computations on graded Lie algebras.",

@@ -14,8 +14,10 @@ compared order against order on an inner window.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterator, Mapping, Optional
 
 from .algebra import (
@@ -70,7 +72,8 @@ class UnknownIndex:
     element whose shifted degree is present in the algebra.  The column
     layout is built once here into one table, ``by_source[b]``: the
     (column, target) of each unknown with source b, which the constraint
-    walk reads.  ``column``, which ``encode`` and ``is_inner`` call, looks a
+    walk reads; the walk's last step builds its per-target table from
+    ``pairs``.  ``column``, which ``encode`` and ``is_inner`` call, looks a
     pair up in a dict keyed by (source, target), built from ``pairs``.
     """
 
@@ -167,87 +170,145 @@ def constraint_rows(index: UnknownIndex, order: int) -> Iterator[Row]:
     row already yielded: the walk yields the same rows in the same order,
     and ``compare_orders``' examined-row counts do not move.
 
-    The last step is fused: for each element b that completes a tuple, the
-    walk reads the state once, straight into one row per target t.  A plain
-    entry c at j adds c·[b, e_j]_k at column (k, t) for each unknown (k, t)
-    and subtracts c·[b', e_j]_t at column (b, b') for each target b' of b;
-    an insertion entry c at (column, j) subtracts c·[b, e_j]_t at that
-    column.  Each row is then normalised as above.  These are the exact int sums that building
-    b's suffix state and then reading each target off it would form, added
-    in another order, and each row is sorted before it is keyed, so the rows
-    and their order are the same.  The new rows of one suffix state are
-    collected in a list and yielded from it; a consumer that stops early
-    still counts only the rows it reads.
+    The last step is partner-driven: one pass over a suffix state builds
+    the rows of every tuple one more element c completes, row (c, t)
+    reading D[c, X] − [D c, X] − [c, D X] at target t, X the right part.
+    An entry at basis index j adds only through its nonzero bracket
+    partners b, ``alg._ad[j]``: a plain entry x adds x·[b, e_j]_k at column
+    (k, t) of row (b, t) for each unknown (k, t), and subtracts x·[b, e_j]_t
+    at column (c, b) of row (c, t) for each unknown (c, b), read from a
+    per-target table; an insertion entry x subtracts x·[b, e_j]_t at its
+    own column of row (b, t).  Rows are keyed p = rank[c]·dim + t, rank the
+    walk's element order (degree, then basis index), from one list per
+    degree sum that leaves out each c whose sum is not safe or, on order
+    2's first step, that the mirror skip leaves out.  Sorted p is c in the
+    walk's order, then t ascending, as a step per element met them; each
+    row is sorted by column once and made primitive.  These are the exact
+    int sums that building c's suffix state and reading each target off it
+    would form, added in another order, so the rows and their order are the
+    same.  The new rows of one suffix state are collected in a list and
+    yielded from it; a consumer that stops early still counts only the rows
+    it reads.
 
     An order below 2 or above ``MAX_ORDER`` is refused with a ``ValueError``.
     """
     _check_orders(order)
     alg = index.alg
     gamma = index.gamma
+    dim = alg.dim
     candidates = index.by_source
+    # by_target[t]: the (column, source) of each unknown with target t
+    by_target: list[list[tuple[int, int]]] = [[] for _ in range(dim)]
+    for col, (b, t) in enumerate(index.pairs):
+        by_target[t].append((col, b))
     by_deg = {d: alg.basis_at(d) for d in sorted(alg.degree_set)}
+    # rank[b]: b's position in the walk's element order, degree then index
+    rank = [0] * dim
+    for r, b in enumerate(b for members in by_deg.values() for b in members):
+        rank[b] = r
     ad = alg._ad
     is_safe_sum = alg.is_safe_sum
 
-    ext_cache: dict[Degree, list] = {}
+    ext_cache: dict[Degree, list[tuple[tuple[int, ...], Degree]]] = {}
 
-    def ext(s: Degree) -> list[tuple[tuple[int, ...], Degree, tuple[int, ...]]]:
+    def ext(s: Degree) -> list[tuple[tuple[int, ...], Degree]]:
         """Degree choices for the next (leftward) tuple slot from suffix sum
-        s: those whose new partial sum s2 is safe, with the targets of a row
-        whose tuple ends there (the basis at s2 + gamma)."""
+        s: the members of each degree whose new partial sum s2 is safe."""
         got = ext_cache.get(s)
         if got is None:
             got = ext_cache[s] = []
             for d, members in by_deg.items():
                 s2 = add_degrees(s, d)
                 if is_safe_sum(s2, gamma):
-                    got.append((members, s2, by_deg.get(add_degrees(s2, gamma), ())))
+                    got.append((members, s2))
+        return got
+
+    base_cache: dict[Degree, list[Optional[int]]] = {}
+
+    def row_base(s: Degree) -> list[Optional[int]]:
+        """Per element c, the key rank[c]·dim of the rows of a tuple that c
+        completes from suffix sum s, or None when that tuple is not safe."""
+        got = base_cache.get(s)
+        if got is None:
+            got = base_cache[s] = [None] * dim
+            for members, _ in ext(s):
+                for c in members:
+                    got[c] = rank[c] * dim
         return got
 
     # Elements that may sit innermost: those whose degree is a safe sum.
-    innermost = {b for members, _, _ in ext(alg.zero_degree()) for b in members}
+    innermost = {b for members, _ in ext(alg.zero_degree()) for b in members}
 
     seen: set[Row] = set()
     walked: set[tuple] = set()
 
+    def last_step(s: Degree, state: dict[tuple[int, int], int], inner: int):
+        """The new rows of every tuple one element completes from the state."""
+        base = row_base(s)
+        if inner >= 0:  # the mirror tuple gives the same rows
+            base = [
+                None if b <= inner and (b == inner or b in innermost) else p0
+                for b, p0 in enumerate(base)
+            ]
+        # rows[p]: the row of key p.  ad[j][b] holds −scale·[e_b, e_j], so
+        # each term enters with the sign opposite to the docstring's.
+        rows: defaultdict[int, dict[int, int]] = defaultdict(dict)
+        for (col, j), c in state.items():
+            if col < 0:
+                for b, terms in ad[j].items():
+                    p0 = base[b]
+                    if p0 is not None:  # D[b, e_j], through each unknown (k, t)
+                        for k, v in terms:
+                            cv = c * v
+                            for col_k, t in candidates[k]:
+                                row = rows[p0 + t]
+                                row[col_k] = row.get(col_k, 0) - cv
+                    for col_a, a in by_target[b]:  # [D a, e_j], through unknown (a, b)
+                        p0 = base[a]
+                        if p0 is not None:
+                            for t, v in terms:
+                                row = rows[p0 + t]
+                                row[col_a] = row.get(col_a, 0) + c * v
+            else:
+                for b, terms in ad[j].items():
+                    p0 = base[b]
+                    if p0 is not None:
+                        for t, v in terms:
+                            row = rows[p0 + t]
+                            row[col] = row.get(col, 0) + c * v
+        last: list[Row] = []
+        for p in sorted(rows):
+            row = rows[p]
+            if 0 in row.values():  # cancelled entries
+                row = {col: v for col, v in row.items() if v}
+                if not row:
+                    continue
+            if len(row) == 1:
+                key: Row = ((*row, 1),)
+            else:
+                items = sorted(row.items())
+                g = gcd(*row.values())
+                if items[0][1] < 0:
+                    g = -g
+                if g != 1:
+                    items = [(k, v // g) for k, v in items]
+                key = tuple(items)
+            if key not in seen:
+                seen.add(key)
+                last.append(key)
+        return last
+
     def walk(level: int, s: Degree, state: dict[tuple[int, int], int], inner: int):
         # inner is the innermost element on the first step, -1 further out.
-        last: list[Row] = []  # the new rows of the last step, at level 1
-        for members, s2, targets in ext(s):
+        if level == 1:
+            yield from last_step(s, state, inner)
+            return
+        for members, s2 in ext(s):
             for b in members:
                 if b <= inner and (b == inner or b in innermost):
                     continue  # the mirror tuple gives the same rows
                 ad_b = ad[b]
                 cand_b = candidates[b]
-                if level == 1:
-                    # The fused last step: one row per target t.
-                    rows: dict[int, dict[int, int]] = {t: {} for t in targets}
-                    for (col, j), c in state.items():
-                        if col < 0:
-                            for k, v in ad_b.get(j, ()):
-                                for col_k, t in candidates[k]:
-                                    row = rows[t]
-                                    row[col_k] = row.get(col_k, 0) + c * v
-                            for col_b, bp in cand_b:
-                                for t, v in ad[bp].get(j, ()):
-                                    row = rows[t]
-                                    row[col_b] = row.get(col_b, 0) - c * v
-                        else:
-                            for t, v in ad_b.get(j, ()):
-                                row = rows[t]
-                                row[col] = row.get(col, 0) - c * v
-                    for t in targets:
-                        row = rows[t]
-                        if 0 in row.values():  # cancelled entries
-                            row = {col: v for col, v in row.items() if v}
-                        if not row:
-                            continue
-                        _make_primitive(row, min(row))
-                        key = tuple(sorted(row.items()))
-                        if key not in seen:
-                            seen.add(key)
-                            last.append(key)
-                    continue
                 new: dict[tuple[int, int], int] = {}
                 for (col, j), c in state.items():
                     for k, v in ad_b.get(j, ()):
@@ -267,10 +328,9 @@ def constraint_rows(index: UnknownIndex, order: int) -> Iterator[Row]:
                         continue  # its rows are multiples of rows already met
                     walked.add(key)
                 yield from walk(level - 1, s2, new, -1)
-        yield from last
 
     try:
-        for members, s2, _ in ext(alg.zero_degree()):
+        for members, s2 in ext(alg.zero_degree()):
             for b in members:
                 state = dict.fromkeys(((-1, b),) + candidates[b], 1)
                 yield from walk(order - 1, s2, state, b)

@@ -205,9 +205,9 @@ def _eliminate(r: dict[int, int], f: int, q: dict[int, int], j: int) -> None:
 def _make_primitive(r: dict[int, int], lead: int) -> None:
     """Divide ``r`` by the gcd of its entries, signed so that r[lead] > 0.
 
-    The one primitive-form rule: elimination applies it to pivot rows, and
-    the constraint walk to its rows and suffix states, with lead their least
-    key."""
+    The primitive-form rule: elimination applies it to pivot rows, and the
+    constraint walk to its suffix states, with lead their least key; the
+    walk's last step applies the same rule to each row as it sorts it."""
     g = math.gcd(*r.values())
     if r[lead] < 0:
         g = -g

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gradedlie import builders, derivations
-from gradedlie.algebra import BasisElement, GradedAlgebra
+from gradedlie.algebra import BasisElement, GradedAlgebra, add_degrees
 from gradedlie.builders import WindowSpec
 from gradedlie.derivations import (
     HomogeneousMap,
@@ -205,6 +205,23 @@ def _compare_exits_early(alg):
     assert report.constraints[1] < full.num_rows  # the walk was closed mid-way
 
 
+def _is_nder_fails_on_the_first_row(alg):
+    # phi is one unknown of the first row's lead column and zero elsewhere,
+    # so that row alone reads nonzero and is_nder stops the walk there
+    index = UnknownIndex(alg, (0,))
+    (col, _), *_ = next(constraint_rows(index, 3))
+    b, t = index.pairs[col]
+    assert not is_nder(alg, HomogeneousMap((0,), {b: {t: Fraction(1)}}), 3)
+
+
+def _s2_certifies_early(alg):
+    index = UnknownIndex(alg, (0,))
+    s2 = solve_nder(alg, 2, (0,))
+    examined, basis = _solve_above_s2(index, 4, s2)
+    assert basis is s2
+    assert examined < sum(1 for _ in constraint_rows(index, 4))
+
+
 @pytest.mark.parametrize(
     "run",
     [
@@ -212,12 +229,16 @@ def _compare_exits_early(alg):
         lambda alg: compare_orders(alg, 2, 3, (0,), WindowSpec(1)),
         lambda alg: solve_nder(alg, 4, (1,)),
         _compare_exits_early,
+        _is_nder_fails_on_the_first_row,
+        _s2_certifies_early,
     ],
     ids=[
         "build_constraints",
         "compare_orders",
         "solve_nder",
         "compare_orders-early-exit",
+        "is_nder-first-row",
+        "solve_above_s2-certified",
     ],
 )
 def test_walk_leaves_no_cyclic_garbage(run):
@@ -288,32 +309,57 @@ def small_graded(draw):
     one or two basis elements in each of two or three degrees, at most five
     in all (the oracle walks every tuple), and a constant from {±1, ±2} or
     none at each basis element of each degree sum, so insertions at one
-    column of a suffix state can cancel."""
-    degrees = draw(st.lists(st.integers(-2, 2), min_size=2, max_size=3, unique=True))
+    column of a suffix state can cancel.  The grading is 1-D, degrees in
+    -2..2, or 2-D, degrees in -1..1 × 0..1, where a degree sum meets a
+    degree about as often as in 1-D."""
+    grading_dim = draw(st.integers(1, 2))
+    coordinates = (
+        [st.integers(-2, 2)]
+        if grading_dim == 1
+        else [st.integers(-1, 1), st.integers(0, 1)]
+    )
+    degrees = draw(
+        st.lists(st.tuples(*coordinates), min_size=2, max_size=3, unique=True)
+    )
     sizes = draw(
         st.lists(st.integers(1, 2), min_size=len(degrees), max_size=len(degrees))
         .filter(lambda sizes: sum(sizes) <= 5)
     )
     basis = [
-        BasisElement(f"e{d}_{m}", (d,))
+        BasisElement(f"e{d}_{m}", d)
         for d, size in zip(degrees, sizes)
         for m in range(size)
     ]
     brackets = {}
     for i, j in itertools.combinations(range(len(basis)), 2):
-        total = basis[i].degree[0] + basis[j].degree[0]
+        total = add_degrees(basis[i].degree, basis[j].degree)
         terms = []
         for k, e in enumerate(basis):
-            c = draw(st.sampled_from((0, 1, -1, 2, -2))) if e.degree == (total,) else 0
+            c = draw(st.sampled_from((0, 1, -1, 2, -2))) if e.degree == total else 0
             if c:
                 terms.append((k, Fraction(c)))
         if terms:
             brackets[(i, j)] = tuple(terms)
-    return GradedAlgebra("small", 1, basis, brackets, (), draw(st.booleans()))
+    return GradedAlgebra("small", grading_dim, basis, brackets, (), draw(st.booleans()))
 
 
 @settings(max_examples=40, deadline=None)
 @given(alg=small_graded())
+@example(  # a 2-D truncation whose first-step table misses a degree sum
+    alg=GradedAlgebra(
+        "small",
+        2,
+        [
+            BasisElement("x", (1, 0)),
+            BasisElement("y", (0, 1)),
+            BasisElement("z0", (1, 1)),
+            BasisElement("z1", (1, 1)),
+        ],
+        {(0, 1): ((2, Fraction(1)), (3, Fraction(-2)))},
+        (),
+        True,
+    )
+)
 def test_flat_suffix_state_yields_the_oracle_rows(alg):
     # Summing insertions per column, skipping an all-zero state and keying a
     # state by its primitive form must leave exactly the oracle's distinct
@@ -337,7 +383,9 @@ _ROW_ORDER_FAMILIES = {
 }
 
 # SHA-256 of repr((gamma, rows)) over every domain shift in order, per
-# (family, order), frozen from the walk before its last step was fused.
+# (family, order), frozen from the walk before its last step was fused; the
+# order-5 digests of sv2, sl3 and borel+3 (2-D gradings) were frozen from
+# the fused walk, before its last step became partner-driven.
 _ROW_ORDER_DIGESTS = {
     ("K", 2): "963e6501ae5271301c81069f44a2ab560edc82f220336c052c325357620b9650",
     ("K", 3): "ab493580dec5cbc7e0c3ca7ccae589c2c91711a6f853369cff95bad25d151bf4",
@@ -346,10 +394,12 @@ _ROW_ORDER_DIGESTS = {
     ("sl3", 2): "01c51987c49a39bc327d205bfe1142bf762df48b0180ff182cec05df8e231c6e",
     ("sl3", 3): "207e11483c8f0a53e86ae9e33aecf0eb9ae18c1f1c60c5cba8fccebb070041f9",
     ("sl3", 4): "f72cf52e1ccd4af41eeebc14dabfa6143e0fc76f5e339890aa6c13272bd9834c",
+    ("sl3", 5): "3c4394e9eb3cb0dfb88d3ec5e08ec4bca8c19db7cea80798f003df1c09a8e928",
     ("sv1", 5): "0b84c7199f308b28674d57c551b3891f4e2573ad1b62eb99052e5be0f7088487",
     ("sv2", 2): "f4f3146e093189673082b0b6c3b2e225cfa22db6bc52a0319755ae6587bafade",
     ("sv2", 3): "b3758bcad91f32ad9e49d9cc704c1cbf190c0d383bb0c8bcb81682f02147fd42",
     ("sv2", 4): "f2711c90d0afdd50c734e243895cf631849b017005c1c1be036271777b794f6f",
+    ("sv2", 5): "1c1e75de1064da490793f1829e93790ea5bbcf7b25e1819d7546ed0031f977b9",
     ("sv3", 2): "4016ab3aba5d222f2f176fdb3190e35712f5dca4e0321a62fce7d98c71ce6eae",
     ("sv3", 3): "e4317af89a14e9c28c086566c676c61f99440a9aa05a270d4ddf5b7c9d5ed598",
     ("sv3", 4): "45d89008b2ad7c41d876b60bffb6dd688b061563f9ad27001f0a1c5ea7041ae3",
@@ -362,6 +412,7 @@ _ROW_ORDER_DIGESTS = {
     ("borel+3", 2): "fec4a21dfb468dcb4d538392ec14db4ead40b7e982b131d6a1fa894fa02838d2",
     ("borel+3", 3): "5f3d1d7f000ae0b1825a0a0e6814e1c5d26c7c368a3cd604ca9a774132202d4a",
     ("borel+3", 4): "c6cd23bd4c917eca99fa5fb971cba22da15d998c6f6e1982a3e73370bd30d182",
+    ("borel+3", 5): "47e341ca4833118ec813bf234e6b808b5e13992ba15e9cb5a2f0c26077e832ae",
 }
 
 
