@@ -345,7 +345,7 @@ def small_graded(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(alg=small_graded())
-@example(  # a 2-D truncation whose first-step table misses a degree sum
+@example(  # a 2-D truncation in which some degree sums are not safe
     alg=GradedAlgebra(
         "small",
         2,
