@@ -118,7 +118,7 @@ class GradedAlgebra:
                 if c == 0:
                     raise ValueError("zero structure constants must not be stored")
                 prev = k
-                out.append((k, Fraction(c)))
+                out.append((k, c if type(c) is Fraction else Fraction(c)))
             if out:
                 clean[(i, j)] = tuple(out)
         self.brackets = clean
@@ -244,55 +244,43 @@ class GradedAlgebra:
     # -- validation ------------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Check grading, Jacobi on fully checkable triples, Cartan degrees and
-        the simultaneous-eigenvector condition.  Violations are data, not errors."""
+        """Check grading, Jacobi on fully checkable triples (read off the
+        integer table), Cartan degrees and the simultaneous-eigenvector
+        condition.  Violations are data, not errors."""
         violations = list(self._grading_violations)
         warnings: list[Violation] = []
         zero = self.zero_degree()
+        label = self.label
 
         for h in sorted(self.cartan):
             if self._degrees[h] != zero:
-                violations.append(
-                    Violation(
-                        "cartan-degree",
-                        (h,),
-                        f"cartan element {self.label(h)} has nonzero degree",
-                    )
-                )
+                msg = f"cartan element {label(h)} has nonzero degree"
+                violations.append(Violation("cartan-degree", (h,), msg))
 
         for i in range(self.dim):
             if i not in self.cartan and self._degrees[i] == zero:
-                warnings.append(
-                    Violation(
-                        "degree-zero",
-                        (i,),
-                        f"{self.label(i)} has degree zero but is not cartan",
-                    )
-                )
+                msg = f"{label(i)} has degree zero but is not cartan"
+                warnings.append(Violation("degree-zero", (i,), msg))
 
         for h in sorted(self.cartan):
             for x in range(self.dim):
                 terms = self._ad[h].get(x)
                 if terms and (len(terms) > 1 or terms[0][0] != x):
-                    violations.append(
-                        Violation(
-                            "eigenvector",
-                            (h, x),
-                            f"[{self.label(h)}, {self.label(x)}] is not "
-                            f"proportional to {self.label(x)}",
-                        )
-                    )
+                    msg = f"[{label(h)}, {label(x)}] is not proportional to {label(x)}"
+                    violations.append(Violation("eigenvector", (h, x), msg))
 
         # Jacobi on the triples i <= j <= k whose every cyclic term
         # [e_a, [e_b, e_c]] is safe: ok[d][k] = is_safe_sum(d, deg k) for each
-        # present degree d.  Past ok_i[j], deg i + deg j is absent only on a
-        # complete algebra, where every sum is safe: its row reads all true.
-        # A triple whose three inner brackets all vanish is skipped: its
-        # Jacobi sum is zero.
+        # present degree d, asked once per pair of degrees.  Past ok_i[j],
+        # deg i + deg j is absent only on a complete algebra, where every sum
+        # is safe: its row reads all true.  A triple whose three inner
+        # brackets all vanish is skipped: its Jacobi sum is zero.
         degs = self._degrees
         ad = self._ad
         n = self.dim
-        ok = {d: [self.is_safe_sum(d, e) for e in degs] for d in self._degree_set}
+        present = self._degree_set
+        safe = {d: {e: self.is_safe_sum(d, e) for e in present} for d in present}
+        ok = {d: list(map(safe[d].get, degs)) for d in present}
         everywhere = [True] * n
         for i in range(n):
             ok_i = ok[degs[i]]
@@ -307,23 +295,23 @@ class GradedAlgebra:
                 for k in range(j, n):
                     if not (ok_j[k] and ok_i[k] and ok_ij[k]):
                         continue
-                    jk, ki = ad_j.get(k), ad[k].get(i)
-                    if not (ij or jk or ki):
+                    jk, ik = ad_j.get(k), ad_i.get(k)
+                    if not (ij or jk or ik):
                         continue
-                    # Integer table: every term carries the same factor scale**2.
+                    # [e_i,[e_j,e_k]] - [e_j,[e_i,e_k]] + [e_k,[e_i,e_j]], times
+                    # scale**2: the int table is exactly antisymmetric.
                     total: dict[int, int] = {}
-                    for a, inner in ((i, jk), (j, ki), (k, ij)):
-                        for m, c in inner or ():
-                            for t, v in ad[a].get(m, ()):
-                                total[t] = total.get(t, 0) + c * v
+                    for m, c in jk or ():
+                        for t, v in ad_i.get(m, ()):
+                            total[t] = total.get(t, 0) + c * v
+                    for m, c in ik or ():
+                        for t, v in ad_j.get(m, ()):
+                            total[t] = total.get(t, 0) - c * v
+                    for m, c in ij or ():
+                        for t, v in ad[k].get(m, ()):
+                            total[t] = total.get(t, 0) + c * v
                     if any(total.values()):
-                        violations.append(
-                            Violation(
-                                "jacobi",
-                                (i, j, k),
-                                f"Jacobi fails on ({self.label(i)}, {self.label(j)}, "
-                                f"{self.label(k)})",
-                            )
-                        )
+                        msg = f"Jacobi fails on ({label(i)}, {label(j)}, {label(k)})"
+                        violations.append(Violation("jacobi", (i, j, k), msg))
 
         return ValidationReport(tuple(violations), tuple(warnings))

@@ -347,13 +347,12 @@ def build_constraints(
     """Assemble the homogeneous constraint system over all safe basis tuples.
 
     The rows are every row ``constraint_rows`` yields, in the order the walk
-    first meets them: primitive integer vectors (gcd 1, lead entry positive)
-    of Python ``int`` values, distinct up to scaling; ``Fraction`` first
-    appears at the pivot division in elimination.
+    first meets them, as the walk's own tuples: primitive integer vectors
+    (gcd 1, lead entry positive) of Python ``int`` values, distinct up to
+    scaling; ``Fraction`` first appears at the pivot division in elimination.
     """
     index = UnknownIndex(alg, gamma)
-    rows = tuple(map(SparseVector, constraint_rows(index, order)))
-    return SparseMatrix(len(index), rows), index
+    return SparseMatrix(len(index), tuple(constraint_rows(index, order))), index
 
 
 def solve_nder(alg: GradedAlgebra, order: int, gamma: Degree) -> SubspaceBasis:

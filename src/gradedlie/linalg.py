@@ -67,16 +67,17 @@ class SparseVector:
 
 @dataclass(frozen=True)
 class SparseMatrix:
-    """Row-major sparse matrix; rows may be empty, every index < num_cols."""
+    """Row-major sparse matrix of the walk's row tuples; only each row's last
+    column is checked here, and ``Echelon.add`` refuses other bad rows."""
 
     num_cols: int
-    rows: tuple[SparseVector, ...] = ()
+    rows: tuple[tuple[tuple[int, Rational], ...], ...] = ()
 
     def __post_init__(self) -> None:
         if self.num_cols < 0:
             raise ValueError("num_cols must be nonnegative")
         for row in self.rows:
-            if row.max_index() >= self.num_cols:
+            if row and row[-1][0] >= self.num_cols:
                 raise ValueError("row index out of range")
 
     @property
@@ -105,13 +106,13 @@ class Echelon:
     """Incremental fraction-free Gauss-Jordan: the unique RREF of the rows
     added so far.
 
-    Rows are int or Fraction rows (dicts or (column, value) pairs, no zero
-    values); a Fraction row is first scaled by the lcm of its denominators.
+    Rows are int or Fraction rows (dicts or (column, value) pairs); a row
+    with a zero value or a column outside 0..num_cols-1 raises ValueError.
+    A Fraction row is first scaled by the lcm of its denominators.
     Each pivot row is kept as the primitive integer multiple of its RREF row:
     Python ints with gcd 1, a positive pivot entry and zeros at every other
-    pivot column.  A new row is folded in against those rows, so dependent
-    and repeated rows vanish cheaply instead of being dragged through a full
-    sweep; no separate dedup pass is needed.  Once every column is a pivot,
+    pivot column.  Dependent and repeated rows vanish cheaply as they are
+    folded in, so no dedup pass is needed.  Once every column is a pivot,
     further rows are not read.  ``reduced`` and ``nullspace`` divide by the
     pivot entries, the only division and the only place a Fraction is built.
     """
@@ -136,6 +137,8 @@ class Echelon:
         if len(pivot_rows) == self.num_cols:
             return False  # further rows cannot add rank
         r = dict(row)
+        if 0 in r.values():
+            raise ValueError("zero values must not be stored")
         if any(type(v) is not int for v in r.values()):
             den = math.lcm(*[v.denominator for v in r.values()])
             r = {j: v.numerator * (den // v.denominator) for j, v in r.items()}
@@ -146,7 +149,11 @@ class Echelon:
             _eliminate(r, r.pop(j), pivot_rows[j], j)
         if not r:
             return False
+        # Elimination writes only pivot-row columns, so a column out of range
+        # is never cleared: checking the rows that become pivots is enough.
         lead = min(r)
+        if lead < 0 or max(r) >= self.num_cols:
+            raise ValueError("row column out of range")
         _make_primitive(r, lead)
         for j, q in pivot_rows.items():
             h = q.pop(lead, None)
@@ -217,8 +224,9 @@ def _make_primitive(r: dict[int, int], lead: int) -> None:
 
 
 def nullspace(m: SparseMatrix) -> SubspaceBasis:
-    """Canonical nullspace basis: free variables set to 1 in increasing column order."""
-    return Echelon(m.num_cols, (r.entries for r in m.rows)).nullspace()
+    """Canonical nullspace basis (free variables set to 1 in increasing column
+    order) of m's rows, handed to ``Echelon`` as they are."""
+    return Echelon(m.num_cols, m.rows).nullspace()
 
 
 def row_space_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:

@@ -100,7 +100,7 @@ def mat_vec(m, v: dict) -> list[Fraction]:
     """Product of a ``SparseMatrix`` and a {column: value} vector, one exact
     value per row."""
     return [
-        sum((c * v.get(i, 0) for i, c in row.entries), Fraction(0)) for row in m.rows
+        sum((c * v.get(i, 0) for i, c in row), Fraction(0)) for row in m.rows
     ]
 
 

@@ -187,16 +187,40 @@ def test_bracket_scaling_invariance(family, c):
     "c", [Fraction(1), Fraction(-3), Fraction(1, 2), Fraction(7, 3), Fraction(-5, 12)]
 )
 def test_constraint_row_contract(family, c):
-    # every row is a primitive integer vector with a positive lead entry
+    # Every row is a tuple of (column, int) pairs, columns strictly increasing
+    # and below len(index), no zero value: the checks SparseVector would make,
+    # which SparseMatrix does not repeat per row.  It is primitive, with a
+    # positive lead entry.
     alg, systems = _unscaled_systems(family)
     other = scaled(alg, c)
     for order, gamma in systems:
-        matrix, _ = build_constraints(other, order, gamma)
+        matrix, index = build_constraints(other, order, gamma)
+        assert matrix.num_cols == len(index)
         for row in matrix.rows:
-            values = [v for _, v in row.entries]
-            assert all(type(v) is int for v in values)
+            assert type(row) is tuple and row
+            cols = [col for col, _ in row]
+            values = [v for _, v in row]
+            assert cols == sorted(set(cols)) and 0 <= cols[0] and cols[-1] < len(index)
+            assert all(type(v) is int and v != 0 for v in values)
             assert math.gcd(*values) == 1
             assert values[0] > 0
+
+
+def test_build_constraints_keeps_the_walk_rows(sv2, monkeypatch):
+    # The hot path hands the walk's tuples to SparseMatrix as they are: no
+    # SparseVector is built per row.
+    built = []
+    init = SparseVector.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SparseVector, "__init__", counting)
+    matrix, index = build_constraints(sv2, 3, (0,))
+    assert not built
+    assert matrix.num_rows > 0
+    assert matrix.rows == tuple(constraint_rows(index, 3))
 
 
 def _compare_exits_early(alg):
@@ -433,7 +457,7 @@ def test_walk_row_order_is_frozen(family):
 
 def _full_path(index, order, s2):
     """Rows and canonical nullspace of the whole order-N walk, ignoring S₂."""
-    rows = tuple(map(SparseVector, constraint_rows(index, order)))
+    rows = tuple(constraint_rows(index, order))
     return len(rows), nullspace(SparseMatrix(len(index), rows))
 
 

@@ -23,8 +23,10 @@ from gradedlie.linalg import (
 
 
 def matrix(num_cols, rows):
-    """A SparseMatrix from {column: value} rows."""
-    return SparseMatrix(num_cols, tuple(map(SparseVector.from_dict, rows)))
+    """A SparseMatrix of Fraction rows from {column: value} rows."""
+    return SparseMatrix(
+        num_cols, tuple(SparseVector.from_dict(r).entries for r in rows)
+    )
 
 
 def mat(rows, num_cols):
@@ -42,7 +44,7 @@ def vec(values):
 
 def as_lists(m: SparseMatrix):
     return [
-        [dict(row.entries).get(c, 0) for c in range(m.num_cols)] for row in m.rows
+        [dict(row).get(c, 0) for c in range(m.num_cols)] for row in m.rows
     ]
 
 
@@ -77,12 +79,36 @@ class TestSparseTypes:
 
     def test_matrix_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            SparseMatrix(2, (vec([0, 0, 1]),))
+            SparseMatrix(2, (vec([0, 0, 1]).entries,))
+
+
+class TestMalformedRows:
+    # Matrix rows are plain tuples, so a hand-built row reaches Echelon
+    # unchecked: a zero value would end in Fraction(0, 0) in reduced(), and
+    # a column past num_cols would drop out of the nullspace silently.
+    @pytest.mark.parametrize(
+        "row",
+        [{0: 0, 1: 1}, {0: Fraction(0), 1: 1}, {0: 1, 5: 1}, {-1: 1, 0: 1}, {2: 1}],
+        ids=["zero", "zero-fraction", "column-past-end", "negative-column", "num-cols"],
+    )
+    def test_echelon_refuses(self, row):
+        with pytest.raises(ValueError):
+            Echelon(2, [row]).nullspace()
+        with pytest.raises(ValueError):
+            Echelon(2).add(row)
+
+    @pytest.mark.parametrize(
+        "row", [((0, 0), (1, 1)), ((5, 1), (0, 1))], ids=["zero", "unsorted-past-end"]
+    )
+    def test_nullspace_refuses(self, row):
+        # the last column is in range, so SparseMatrix lets both through
+        with pytest.raises(ValueError):
+            nullspace(SparseMatrix(2, (row,)))
 
 
 def rref(m: SparseMatrix):
     """Rank and reduced rows of ``m`` from the solver's elimination."""
-    reduced, pivots = Echelon(m.num_cols, (r.entries for r in m.rows)).reduced()
+    reduced, pivots = Echelon(m.num_cols, m.rows).reduced()
     return len(pivots), matrix(m.num_cols, reduced)
 
 
@@ -124,7 +150,7 @@ def nullspace_solve(m: SparseMatrix, b) -> Optional[dict]:
     exactly when the system is consistent, its vector is then the last one,
     and every other free coefficient in it is zero."""
     aug = m.num_cols
-    rows = [dict(r.entries) for r in m.rows]
+    rows = [dict(r) for r in m.rows]
     for row, v in zip(rows, b):
         if v:
             row[aug] = -v
@@ -225,7 +251,7 @@ def check_linalg_properties(m: SparseMatrix) -> None:
     assert (x is None) == (dense_rank(augmented) > rank)
     assert x == dense_solve(dense, b, m.num_cols)
     # repeated, rescaled and reordered rows leave the canonical basis unchanged
-    rows = [dict(r.entries) for r in m.rows]
+    rows = [dict(r) for r in m.rows]
     rows += [{i: -2 * c for i, c in r.items()} for r in rows]
     rng.shuffle(rows)
     assert nullspace(matrix(m.num_cols, rows)) == basis
@@ -243,13 +269,13 @@ def test_row_space_invariances(seed):
     rng = random.Random(seed)
     m = random_matrix(rng)
     _, red = rref(m)
-    basis = SubspaceBasis(m.num_cols, red.rows)
+    basis = SubspaceBasis(m.num_cols, tuple(map(SparseVector, red.rows)))
     assert row_space_equal(basis, basis)
     # scaling and permutation of generating rows leaves the span unchanged
     scaled = []
     for v in red.rows:
         c = Fraction(rng.choice([1, 2, 3, -1, -2]))
-        scaled.append(SparseVector.from_dict({i: c * val for i, val in v.entries}))
+        scaled.append(SparseVector.from_dict({i: c * val for i, val in v}))
     rng.shuffle(scaled)
     other = SubspaceBasis(m.num_cols, tuple(scaled))
     assert row_space_equal(basis, other)
@@ -269,13 +295,12 @@ def int_matrix(rng: random.Random, max_rows=6, max_cols=7) -> SparseMatrix:
     rows = []
     for _ in range(rng.randrange(0, max_rows + 1)):
         row = {c: rng.randrange(-6, 7) for c in range(cols) if rng.random() < 0.55}
-        entries = tuple((c, v) for c, v in sorted(row.items()) if v)
-        rows.append(SparseVector(entries))
+        rows.append(tuple((c, v) for c, v in sorted(row.items()) if v))
     return SparseMatrix(cols, tuple(rows))
 
 
 def as_fractions(m: SparseMatrix) -> SparseMatrix:
-    return matrix(m.num_cols, [dict(r.entries) for r in m.rows])
+    return matrix(m.num_cols, [dict(r) for r in m.rows])
 
 
 def all_fractions(vectors) -> bool:
@@ -291,11 +316,12 @@ def check_int_rows_exact(m: SparseMatrix) -> None:
     x = nullspace_solve(m, b)
     assert x == nullspace_solve(f, b) == dense_solve(as_lists(m), b, m.num_cols)
     assert x is None or all(type(c) is Fraction for c in x.values())
-    span = SubspaceBasis(m.num_cols, m.rows)
+    span = SubspaceBasis(m.num_cols, tuple(map(SparseVector, m.rows)))
     coords = list(range(0, m.num_cols, 2))
     p = project_basis(span, coords)
     assert all_fractions(p.vectors)
-    assert p == project_basis(SubspaceBasis(m.num_cols, f.rows), coords)
+    f_span = SubspaceBasis(m.num_cols, tuple(map(SparseVector, f.rows)))
+    assert p == project_basis(f_span, coords)
 
 
 class TestIntegerRows:
@@ -304,17 +330,16 @@ class TestIntegerRows:
     ROWS = (((0, 2), (1, 4), (2, 3)), ((1, 3), (3, 5)), ((2, 5), (3, 7)))
 
     def test_pivot_division_is_exact(self):
-        m = SparseMatrix(4, tuple(map(SparseVector, self.ROWS)))
-        reduced, pivots = Echelon(m.num_cols, (r.entries for r in m.rows)).reduced()
+        m = SparseMatrix(4, self.ROWS)
+        reduced, pivots = Echelon(m.num_cols, m.rows).reduced()
         assert pivots == [0, 1, 2]
         assert all(type(v) is Fraction for row in reduced for v in row.values())
-        rows = (r.entries for r in as_fractions(m).rows)
-        want, _ = Echelon(m.num_cols, rows).reduced()
+        want, _ = Echelon(m.num_cols, as_fractions(m).rows).reduced()
         assert reduced == want
         assert reduced[0] == {0: 1, 3: Fraction(-163, 30)}
 
     def test_public_results_are_fractions(self):
-        check_int_rows_exact(SparseMatrix(4, tuple(map(SparseVector, self.ROWS))))
+        check_int_rows_exact(SparseMatrix(4, self.ROWS))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -325,7 +350,7 @@ class TestIntegerRows:
 def check_rref_invariant(m: SparseMatrix) -> None:
     """Every pivot row has lead 1 at its pivot and is zero at every other
     pivot column: the property that lets one sweep clear a new row."""
-    reduced, pivots = Echelon(m.num_cols, (r.entries for r in m.rows)).reduced()
+    reduced, pivots = Echelon(m.num_cols, m.rows).reduced()
     assert pivots == sorted(set(pivots))
     assert len(pivots) == dense_rank(as_lists(m))
     for row, p in zip(reduced, pivots):
@@ -351,7 +376,7 @@ def test_echelon_is_incremental(seed, ints):
     ech = Echelon(m.num_cols)
     for i, row in enumerate(m.rows):
         before = ech.rank
-        grew = ech.add(row.entries)
+        grew = ech.add(row)
         prefix = SparseMatrix(m.num_cols, m.rows[: i + 1])
         assert ech.rank == dense_rank(as_lists(prefix))
         assert grew == (ech.rank == before + 1)
