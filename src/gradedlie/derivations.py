@@ -17,6 +17,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Iterator, Mapping, Optional
 
@@ -139,20 +140,27 @@ def constraint_rows(index: UnknownIndex, order: int) -> Iterator[Row]:
     primitive row is also its own dedup key, so rows equal up to scaling and
     zero rows are yielded once or not at all.
 
-    A tuple (..., a, b) and its mirror (..., b, a), which swaps the two
-    innermost elements, reach negated suffix states and so the same primitive
-    rows; the walk skips a == b, whose rows vanish, and skips a < b whenever
-    the mirror is itself safe (deg a is a safe sum).
+    The walk extends tuples leftward and decides each slot from one table
+    per degree sum s of the right part (the tuple built so far), made once
+    per walk: the (element, new sum) of each element whose new sum is
+    safe, in the walk's order (degree, then basis index), and for the i-th
+    of them the key i·dim of the rows of the tuple it completes, None for
+    the others.  On the first step the table is filtered for the mirror: a
+    tuple (..., a, b) and (..., b, a), which swaps the two innermost
+    elements, reach negated suffix states and so the same primitive rows,
+    so the walk skips a == b, whose rows vanish, and a < b whenever the
+    mirror is itself safe (deg a is a safe sum, read off the table of sum
+    0).
 
-    The walk extends tuples leftward and carries, for each right part, its
-    suffix state: one flat int dict keyed by (column, basis index).  Column
-    -1 holds the nested bracket of the right part (the plain element);
-    column c holds the sum of the nested brackets with an element replaced
-    by its target in unknown c, over every position where c's source sits.
-    Every row is linear in the state, so insertions at one column may be
-    summed.  Extending by b brackets every entry with b, and a plain entry
-    j also adds [b', e_j] at column (b, b') for each target b' of b.  A
-    state whose entries all cancel is not extended: its rows are all zero.
+    Each right part carries its suffix state: one flat int dict keyed by
+    (column, basis index).  Column -1 holds the nested bracket of the right
+    part (the plain element); column c holds the sum of the nested brackets
+    with an element replaced by its target in unknown c, over every
+    position where c's source sits.  Every row is linear in the state, so
+    insertions at one column may be summed.  Extending by b brackets every
+    entry with b, and a plain entry j also adds [b', e_j] at column (b, b')
+    for each target b' of b.  A state whose entries all cancel is not
+    extended: its rows are all zero.
 
     A suffix state of at least 3 elements that is extended further, so from
     order 4 on, is made primitive in place by the helper that normalises
@@ -178,17 +186,14 @@ def constraint_rows(index: UnknownIndex, order: int) -> Iterator[Row]:
     (k, t) of row (b, t) for each unknown (k, t), and subtracts x·[b, e_j]_t
     at column (c, b) of row (c, t) for each unknown (c, b), read from a
     per-target table; an insertion entry x subtracts x·[b, e_j]_t at its
-    own column of row (b, t).  Rows are keyed p = rank[c]·dim + t, rank the
-    walk's element order (degree, then basis index), from one list per
-    degree sum that leaves out each c whose sum is not safe or, on order
-    2's first step, that the mirror skip leaves out.  Sorted p is c in the
-    walk's order, then t ascending, as a step per element met them; each
-    row is sorted by column once and made primitive.  These are the exact
-    int sums that building c's suffix state and reading each target off it
-    would form, added in another order, so the rows and their order are the
-    same.  The new rows of one suffix state are collected in a list and
-    yielded from it; a consumer that stops early still counts only the rows
-    it reads.
+    own column of row (b, t).  Rows are keyed p = i·dim + t by the table,
+    so sorted p is c in the walk's order, then t ascending, as a step per
+    element met them; each row is sorted by column once and made primitive.
+    These are the exact int sums that building c's suffix state and reading
+    each target off it would form, added in another order, so the rows and
+    their order are the same.  The new rows of one suffix state are
+    collected in a list and yielded from it; a consumer that stops early
+    still counts only the rows it reads.
 
     An order below 2 or above ``MAX_ORDER`` is refused with a ``ValueError``.
     """
@@ -196,60 +201,45 @@ def constraint_rows(index: UnknownIndex, order: int) -> Iterator[Row]:
     alg = index.alg
     gamma = index.gamma
     dim = alg.dim
+    zero = alg.zero_degree()
+    degrees = sorted(alg.degree_set)
     candidates = index.by_source
     # by_target[t]: the (column, source) of each unknown with target t
     by_target: list[list[tuple[int, int]]] = [[] for _ in range(dim)]
     for col, (b, t) in enumerate(index.pairs):
         by_target[t].append((col, b))
-    by_deg = {d: alg.basis_at(d) for d in sorted(alg.degree_set)}
-    # rank[b]: b's position in the walk's element order, degree then index
-    rank = [0] * dim
-    for r, b in enumerate(b for members in by_deg.values() for b in members):
-        rank[b] = r
     ad = alg._ad
-    is_safe_sum = alg.is_safe_sum
+    tables: dict[Degree, tuple[list[tuple[int, Degree]], list[Optional[int]]]] = {}
 
-    ext_cache: dict[Degree, list[tuple[tuple[int, ...], Degree]]] = {}
-
-    def ext(s: Degree) -> list[tuple[tuple[int, ...], Degree]]:
-        """Degree choices for the next (leftward) tuple slot from suffix sum
-        s: the members of each degree whose new partial sum s2 is safe."""
-        got = ext_cache.get(s)
+    def table(s: Degree, inner: int):
+        """The steps and row keys of the slot left of suffix sum s; inner is
+        the innermost element on the first step, -1 further out."""
+        got = tables.get(s)
         if got is None:
-            got = ext_cache[s] = []
-            for d, members in by_deg.items():
+            steps: list[tuple[int, Degree]] = []
+            base: list[Optional[int]] = [None] * dim
+            for d in degrees:
                 s2 = add_degrees(s, d)
-                if is_safe_sum(s2, gamma):
-                    got.append((members, s2))
-        return got
-
-    base_cache: dict[Degree, list[Optional[int]]] = {}
-
-    def row_base(s: Degree) -> list[Optional[int]]:
-        """Per element c, the key rank[c]·dim of the rows of a tuple that c
-        completes from suffix sum s, or None when that tuple is not safe."""
-        got = base_cache.get(s)
-        if got is None:
-            got = base_cache[s] = [None] * dim
-            for members, _ in ext(s):
-                for c in members:
-                    got[c] = rank[c] * dim
-        return got
-
-    # Elements that may sit innermost: those whose degree is a safe sum.
-    innermost = {b for members, _ in ext(alg.zero_degree()) for b in members}
+                if alg.is_safe_sum(s2, gamma):
+                    for c in alg.basis_at(d):
+                        base[c] = len(steps) * dim
+                        steps.append((c, s2))
+            got = tables[s] = steps, base
+        if inner < 0:
+            return got
+        # the first step: the mirror tuple gives the same rows
+        safe = tables[zero][1]  # built first; not None iff deg c is safe
+        base = [
+            None if c <= inner and (c == inner or safe[c] is not None) else p
+            for c, p in enumerate(got[1])
+        ]
+        return [step for step in got[0] if base[step[0]] is not None], base
 
     seen: set[Row] = set()
     walked: set[tuple] = set()
 
-    def last_step(s: Degree, state: dict[tuple[int, int], int], inner: int):
+    def last_step(base: list[Optional[int]], state: dict[tuple[int, int], int]):
         """The new rows of every tuple one element completes from the state."""
-        base = row_base(s)
-        if inner >= 0:  # the mirror tuple gives the same rows
-            base = [
-                None if b <= inner and (b == inner or b in innermost) else p0
-                for b, p0 in enumerate(base)
-            ]
         # rows[p]: the row of key p.  ad[j][b] holds −scale·[e_b, e_j], so
         # each term enters with the sign opposite to the docstring's.
         rows: defaultdict[int, dict[int, int]] = defaultdict(dict)
@@ -299,41 +289,37 @@ def constraint_rows(index: UnknownIndex, order: int) -> Iterator[Row]:
         return last
 
     def walk(level: int, s: Degree, state: dict[tuple[int, int], int], inner: int):
-        # inner is the innermost element on the first step, -1 further out.
+        steps, base = table(s, inner)
         if level == 1:
-            yield from last_step(s, state, inner)
+            yield from last_step(base, state)
             return
-        for members, s2 in ext(s):
-            for b in members:
-                if b <= inner and (b == inner or b in innermost):
-                    continue  # the mirror tuple gives the same rows
-                ad_b = ad[b]
-                cand_b = candidates[b]
-                new: dict[tuple[int, int], int] = {}
-                for (col, j), c in state.items():
-                    for k, v in ad_b.get(j, ()):
-                        new[col, k] = new.get((col, k), 0) + c * v
-                    if col < 0:
-                        for col_b, bp in cand_b:
-                            for k, v in ad[bp].get(j, ()):
-                                new[col_b, k] = new.get((col_b, k), 0) + c * v
-                if 0 in new.values():  # cancelled entries
-                    new = {key: v for key, v in new.items() if v}
-                if not new:
-                    continue  # nothing can emerge from an all-zero suffix
-                if level <= order - 2:  # the new suffix has >= 3 elements
-                    _make_primitive(new, min(new))
-                    key = (level, frozenset(new.items()))
-                    if key in walked:
-                        continue  # its rows are multiples of rows already met
-                    walked.add(key)
-                yield from walk(level - 1, s2, new, -1)
+        for b, s2 in steps:
+            ad_b = ad[b]
+            cand_b = candidates[b]
+            new: dict[tuple[int, int], int] = {}
+            for (col, j), c in state.items():
+                for k, v in ad_b.get(j, ()):
+                    new[col, k] = new.get((col, k), 0) + c * v
+                if col < 0:
+                    for col_b, bp in cand_b:
+                        for k, v in ad[bp].get(j, ()):
+                            new[col_b, k] = new.get((col_b, k), 0) + c * v
+            if 0 in new.values():  # cancelled entries
+                new = {key: v for key, v in new.items() if v}
+            if not new:
+                continue  # nothing can emerge from an all-zero suffix
+            if level <= order - 2:  # the new suffix has >= 3 elements
+                _make_primitive(new, min(new))
+                key = (level, frozenset(new.items()))
+                if key in walked:
+                    continue  # its rows are multiples of rows already met
+                walked.add(key)
+            yield from walk(level - 1, s2, new, -1)
 
     try:
-        for members, s2 in ext(alg.zero_degree()):
-            for b in members:
-                state = dict.fromkeys(((-1, b),) + candidates[b], 1)
-                yield from walk(order - 1, s2, state, b)
+        for b, s2 in table(zero, -1)[0]:
+            state = dict.fromkeys(((-1, b),) + candidates[b], 1)
+            yield from walk(order - 1, s2, state, b)
     finally:
         # walk reaches itself through its closure cell; break that cycle so
         # the walk's caches are freed when the rows end or the consumer
@@ -429,9 +415,15 @@ def _solve_above_s2(
     return examined, ech.nullspace()
 
 
-# The last order-2 solve (alg, gamma, index, rows, S₂); on the algebra it
-# would make a reference cycle, since the index refers to the algebra.
-_last_s2: Optional[tuple] = None
+@lru_cache(maxsize=1)
+def _solve_s2(
+    alg: GradedAlgebra, gamma: Degree
+) -> tuple[UnknownIndex, int, SubspaceBasis]:
+    """The order-2 index, row count and canonical S₂ at gamma.  Only the last
+    call is kept, and ``GradedAlgebra`` hashes by identity, so only the same
+    algebra object at the same gamma reuses it."""
+    m, index = build_constraints(alg, 2, gamma)
+    return index, m.num_rows, nullspace(m)
 
 
 def compare_orders(
@@ -456,13 +448,8 @@ def compare_orders(
     outer = _outer_radius(alg)
     if inner.max_abs > outer:
         raise ValueError("inner window exceeds the algebra window")
-    global _last_s2
     gamma = tuple(gamma)
-    memo = _last_s2
-    if memo is None or memo[0] is not alg or memo[1] != gamma:
-        m, index = build_constraints(alg, 2, gamma)
-        memo = _last_s2 = (alg, gamma, index, m.num_rows, nullspace(m))
-    index, rows, s2 = memo[2:]
+    index, rows, s2 = _solve_s2(alg, gamma)
     solved = {2: (rows, s2)}
     for order in (order1, order2):
         if order not in solved:

@@ -68,7 +68,8 @@ class SparseVector:
 @dataclass(frozen=True)
 class SparseMatrix:
     """Row-major sparse matrix of the walk's row tuples; only each row's last
-    column is checked here, and ``Echelon.add`` refuses other bad rows."""
+    column is checked here, and ``Echelon.add`` refuses other bad rows it
+    reads (none after full rank)."""
 
     num_cols: int
     rows: tuple[tuple[tuple[int, Rational], ...], ...] = ()
@@ -108,13 +109,14 @@ class Echelon:
 
     Rows are int or Fraction rows (dicts or (column, value) pairs); a row
     with a zero value or a column outside 0..num_cols-1 raises ValueError.
-    A Fraction row is first scaled by the lcm of its denominators.
-    Each pivot row is kept as the primitive integer multiple of its RREF row:
-    Python ints with gcd 1, a positive pivot entry and zeros at every other
-    pivot column.  Dependent and repeated rows vanish cheaply as they are
-    folded in, so no dedup pass is needed.  Once every column is a pivot,
-    further rows are not read.  ``reduced`` and ``nullspace`` divide by the
-    pivot entries, the only division and the only place a Fraction is built.
+    Once every column is a pivot, further rows are not read, so they are not
+    checked either.  A Fraction row is first scaled by the lcm of its
+    denominators.  Each pivot row is kept as the primitive integer multiple
+    of its RREF row: Python ints with gcd 1, a positive pivot entry and
+    zeros at every other pivot column.  Dependent and repeated rows vanish
+    cheaply as they are folded in, so no dedup pass is needed.  ``reduced``
+    and ``nullspace`` divide by the pivot entries, the only division and the
+    only place a Fraction is built.
     """
 
     def __init__(

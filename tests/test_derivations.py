@@ -285,6 +285,29 @@ def test_walk_leaves_no_cyclic_garbage(run):
         gc.enable()
 
 
+@pytest.mark.parametrize(
+    "build, orders",
+    [
+        (lambda: builders.build_sv(WindowSpec(3)), (2, 3, 4)),
+        (lambda: builders.build_witt(2, WindowSpec(1)), (2, 3)),
+    ],
+    ids=["sv3", "witt2_1"],
+)
+def test_walk_asks_is_safe_sum_once_per_sum_and_degree(build, orders):
+    # the walk keeps one table per right-partial sum, 0 or a present degree,
+    # and the mirror skip reads the sum-0 table: no table per innermost
+    # element, which would add dim·|degree_set| calls
+    alg = build()
+    bound = len(alg.degree_set | {alg.zero_degree()}) * len(alg.degree_set)
+    for gamma in domain_gammas(alg):
+        index = UnknownIndex(alg, gamma)
+        for order in orders:
+            with mock.patch.object(alg, "is_safe_sum", wraps=alg.is_safe_sum) as spy:
+                for _ in constraint_rows(index, order):
+                    pass
+            assert 0 < spy.call_count <= bound, (gamma, order)
+
+
 def primitive(dense_row) -> tuple[tuple[int, int], ...]:
     """A dense Fraction row as a primitive integer row: sparse, gcd 1, lead
     entry positive."""
@@ -601,7 +624,7 @@ def test_order2_solve_is_shared_by_consecutive_calls_only():
     # compare_orders reuses its last order-2 solve on the same algebra object
     # at the same gamma; equal algebras and other shifts solve afresh
     def fresh(build, gamma, orders):
-        derivations._last_s2 = None  # as in a new process
+        derivations._solve_s2.cache_clear()  # as in a new process
         return compare_orders(build(), *orders, gamma, WindowSpec(1))
 
     sv2 = functools.partial(builders.build_sv, WindowSpec(2))

@@ -105,6 +105,14 @@ class TestMalformedRows:
         with pytest.raises(ValueError):
             nullspace(SparseMatrix(2, (row,)))
 
+    def test_rows_after_full_rank_are_not_read(self):
+        # once every column is a pivot no row can add rank, so later rows,
+        # malformed ones included, are neither read nor checked
+        assert Echelon(1, [{0: 1}, {0: 0}, {5: 1}]).nullspace().dim == 0
+        assert nullspace(SparseMatrix(1, (((0, 1),), ((0, 0),)))).dim == 0
+        ech = Echelon(1, [{0: 1}])
+        assert not ech.add({0: 0}) and not ech.add({-1: 1}) and ech.rank == 1
+
 
 def rref(m: SparseMatrix):
     """Rank and reduced rows of ``m`` from the solver's elimination."""

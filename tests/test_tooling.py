@@ -84,6 +84,16 @@ def test_readme_library_tour_runs():
         assert callable(getattr(GradedAlgebra, name, None)), name
 
 
+def test_readme_dotted_names_resolve():
+    # every backticked `<module>.<name>` in README names a live attribute,
+    # so renaming or removing one cannot leave the prose behind
+    readme = (ROOT / "README.md").read_text()
+    names = re.findall(r"`(algebra|builders|cli|derivations|linalg)\.(\w+)`", readme)
+    assert names
+    for module, name in names:
+        assert hasattr(importlib.import_module(f"gradedlie.{module}"), name), name
+
+
 def test_src_has_no_unused_imports():
     # every name a module imports is used there, so a deletion cannot leave
     # a dead import behind
